@@ -2,7 +2,7 @@
 
 Subcommands: classify, solve, oracle, laws, gen, bench.  Exit codes:
 0 sat/ok, 1 unsat, 2 invalid input, 3 NP-complete refusal, 4 internal
-invariant failure.
+invariant failure or any other crash.
 """
 
 from __future__ import annotations
@@ -260,6 +260,11 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a crash must not read as a verdict
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -7,17 +7,28 @@ join of smaller tables are never materialized: a pair table defaults to the
 product of the two domains, a triple table to the pairwise join.  A triple
 whose three pair tables include at most one non-default pair cannot tighten
 anything once pairs project onto domains, so propagation only visits
-materialized triples and triples with at least two non-default pairs.
+materialized triples and triples with at least two materialized pairs.
+
+`Propagator` is a worklist engine (AC-3 style): each round revises only the
+constraints, materialized pairs and candidate triples on the variables whose
+domain, pair or triple table shrank.  Constraints are pre-indexed by an item
+getter per sub-scope, and project their supports again only after losing
+tuples (until then their tables can only shrink below unmoved supports).
+The filters are monotone, so the fixpoint does not depend on the order of
+revision.  Tables are replaced, never mutated, so a trail of replaced values
+can undo a branch (`mark` / `undo`).
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .model import Constraint, Instance, relation
 
 VarSet = tuple
+_MISSING = object()
 
 
 class MinimalityTables:
@@ -71,214 +82,206 @@ class MinimalityTables:
             yield key, self.triples[key]
 
 
-class Propagator:
-    """Mutable fixpoint engine behind establish_3_minimality."""
+class _Domains(dict):
+    """Variable domains; writing one schedules its variable for revision."""
 
-    def __init__(self, inst: Instance):
+    def __setitem__(self, v, value):
+        super().__setitem__(v, value)
+        self.dirty.add(v)
+
+
+class Propagator:
+    """Worklist fixpoint engine behind establish_3_minimality.
+
+    Built from an instance alone, every variable starts scheduled.  Built
+    from the pruned instance and the tables that establish_3_minimality
+    returned, it starts at that fixpoint with nothing scheduled.
+    """
+
+    def __init__(self, inst: Instance,
+                 tables: Optional[MinimalityTables] = None):
         self.inst = inst
         self.variables = inst.variables
         self._order = {v: i for i, v in enumerate(self.variables)}
-        self.doms: dict = {v: set(inst.domains[v]) for v in self.variables}
-        self.pairs: dict[VarSet, set] = {}
-        self.triples: dict[VarSet, set] = {}
-        self.cons: list[tuple[tuple, list, set]] = []
-        for scope, rel in inst.constraints:
+        self.dirty: set = set(self.variables)
+        self.doms = _Domains(inst.domains)
+        self.doms.dirty = self.dirty
+        self.pairs: dict[VarSet, frozenset] = {}
+        self.triples: dict[VarSet, frozenset] = {}
+        self.keys_on: dict = {}  # variable -> materialized pairs, triples on it
+        self.cons_on: dict = {v: [] for v in self.variables}
+        self.cons: list[tuple[tuple, list]] = []  # (scope, [(key, getter)])
+        self.rels: dict[int, frozenset] = {}  # current tuples, by constraint
+        for i, (scope, rel) in enumerate(inst.constraints):
             svars = self.sort_vars(scope)
-            keep = set()
-            for t in rel.tuples:
-                asg = {}
-                ok = True
-                for var, val in zip(scope, t):
-                    if asg.setdefault(var, val) != val:
-                        ok = False
-                        break
-                if ok:
-                    keep.add(t)
-            self.cons.append((tuple(scope), list(svars), keep))
+            first = {v: scope.index(v) for v in svars}
+            subs = [(key, itemgetter(*[first[v] for v in key]))
+                    for size in (1, 2, 3)
+                    for key in itertools.combinations(svars, size)]
+            tuples = rel.tuples
+            if len(svars) < len(scope):  # a repeated variable takes one value
+                tuples = frozenset(t for t in tuples if all(
+                    t[j] == t[first[v]] for j, v in enumerate(scope)))
+            for v in svars:
+                self.cons_on[v].append(i)
+            self.cons.append((scope, subs))
+            self.rels[i] = tuples
+        # constraints whose supports were never projected onto the tables
+        self.fresh: set[int] = set(self.rels)
         self.failed = False
+        self.shrinks = 0
+        self.trail: Optional[list] = None
+        if tables is not None:
+            for key, val in [*tables.pairs.items(), *tables.triples.items()]:
+                self._set(key, val, shrunk=False)
+            self.fresh.clear()
+            self.dirty.clear()
 
     def sort_vars(self, ws: Iterable) -> VarSet:
         return tuple(sorted(set(ws), key=self._order.__getitem__))
 
     # -- table access -------------------------------------------------
-    def pair_value(self, key: VarSet) -> set:
+    def pair_value(self, key: VarSet) -> frozenset:
         if key in self.pairs:
             return self.pairs[key]
         a, b = key
-        return {(x, y) for x in self.doms[a] for y in self.doms[b]}
+        return frozenset(itertools.product(self.doms[a], self.doms[b]))
 
-    def _join(self, key: VarSet) -> set:
+    def _join(self, key: VarSet) -> frozenset:
         a, b, c = key
-        ab = self.pair_value((a, b))
-        ac = self.pair_value((a, c))
-        bc = self.pair_value((b, c))
-        return {(x, y, z) for (x, y) in ab for z in self.doms[c]
-                if (x, z) in ac and (y, z) in bc}
+        ab, ac, bc = (self.pair_value(k) for k in ((a, b), (a, c), (b, c)))
+        return frozenset((x, y, z) for (x, y) in ab for z in self.doms[c]
+                         if (x, z) in ac and (y, z) in bc)
 
-    def triple_value(self, key: VarSet) -> set:
-        return self.triples[key] if key in self.triples else self._join(key)
+    # -- writes -------------------------------------------------------
+    def _store(self, table: dict, k, value):
+        if self.trail is not None:
+            self.trail.append((table, k, table.get(k, _MISSING)))
+        dict.__setitem__(table, k, value)
 
-    # -- shrink helpers ------------------------------------------------
-    def _set_pair(self, key: VarSet, value: set) -> bool:
-        old = self.pair_value(key)
-        if value >= old:
-            return False
-        self.pairs[key] = value
-        if not value:
-            self.failed = True
-        return True
+    def _set(self, key: VarSet, value: frozenset, shrunk: bool = True):
+        """Replace the table on `key`; a shrink schedules its variables."""
+        table = (self.doms, self.pairs, self.triples)[len(key) - 1]
+        k = key[0] if len(key) == 1 else key
+        if k not in table:  # a pair or triple gets materialized
+            for v in key:
+                self.keys_on.setdefault(v, set()).add(key)
+        self._store(table, k, value)
+        if shrunk:
+            self.dirty.update(key)
+            self.shrinks += 1
+            self.failed = self.failed or not value
 
-    def _set_triple(self, key: VarSet, value: set) -> bool:
-        old = self.triple_value(key)
-        if value >= old:
-            self.triples.setdefault(key, value)
-            return False
-        self.triples[key] = value
-        if not value:
-            self.failed = True
-        return True
+    def _shrink(self, key: VarSet, allowed: set):
+        """Intersect a table with `allowed`; triples are materialized."""
+        if len(key) == 3:
+            old = self.triples[key] if key in self.triples else self._join(key)
+        else:
+            old = self.doms[key[0]] if len(key) == 1 else self.pair_value(key)
+        new = old & allowed
+        if len(new) < len(old):
+            self._set(key, new)
+        elif len(key) == 3 and key not in self.triples:
+            self._set(key, new, shrunk=False)
 
-    def _set_dom(self, v, value: set) -> bool:
-        if value >= self.doms[v]:
-            return False
-        self.doms[v] = value
-        if not value:
-            self.failed = True
-        return True
-
-    # -- passes ---------------------------------------------------------
-    def _constraint_pass(self) -> bool:
-        changed = False
-        for scope, svars, tuples in self.cons:
+    # -- revisions ----------------------------------------------------
+    def _revise_constraint(self, i: int):
+        tuples = kept = self.rels[i]
+        subs = self.cons[i][1]
+        for key, get in subs:
+            table = (self.doms[key[0]] if len(key) == 1 else
+                     (self.pairs if len(key) == 2 else self.triples).get(key))
+            if table is not None:
+                kept = [t for t in kept if get(t) in table]
+        if len(kept) < len(tuples):
+            self._store(self.rels, i, frozenset(kept))
+            self.shrinks += 1
+            self.failed = not kept
+        elif i not in self.fresh:
+            return
+        for key, get in subs:
             if self.failed:
-                return changed
-            subsets = []
-            for size in (1, 2, 3):
-                subsets.extend(itertools.combinations(svars, size))
-            keep = set()
-            for t in tuples:
-                asg = dict(zip(scope, t))
-                ok = all(asg[v] in self.doms[v] for v in svars)
-                if ok:
-                    for key in subsets:
-                        if len(key) == 2 and key in self.pairs:
-                            if tuple(asg[v] for v in key) not in self.pairs[key]:
-                                ok = False
-                                break
-                        elif len(key) == 3 and key in self.triples:
-                            if tuple(asg[v] for v in key) not in self.triples[key]:
-                                ok = False
-                                break
-                if ok:
-                    keep.add(t)
-            if len(keep) < len(tuples):
-                tuples.intersection_update(keep)
-                changed = True
-            if not tuples:
-                self.failed = True
-                return True
-            for key in subsets:
-                supports = {tuple(dict(zip(scope, t))[v] for v in key)
-                            for t in tuples}
-                if len(key) == 1:
-                    if self._set_dom(key[0], {s[0] for s in supports}
-                                     & self.doms[key[0]]):
-                        changed = True
-                elif len(key) == 2:
-                    if self._set_pair(key, self.pair_value(key) & supports):
-                        changed = True
-                else:
-                    if self._set_triple(key, self.triple_value(key) & supports):
-                        changed = True
-        return changed
+                return
+            self._shrink(key, set(map(get, kept)))
+        self.fresh.discard(i)
 
-    def _pair_pass(self) -> bool:
-        changed = False
-        for key in list(self.pairs):
-            a, b = key
-            val = {t for t in self.pairs[key]
-                   if t[0] in self.doms[a] and t[1] in self.doms[b]}
-            if self._set_pair(key, val):
-                changed = True
-            if self._set_dom(a, {t[0] for t in val}):
-                changed = True
-            if self._set_dom(b, {t[1] for t in val}):
-                changed = True
+    def _revise_pair(self, key: VarSet):
+        a, b = key
+        self._shrink(key, set(itertools.product(self.doms[a], self.doms[b])))
+        self._shrink((a,), {t[0] for t in self.pairs[key]})
+        self._shrink((b,), {t[1] for t in self.pairs[key]})
+
+    def _revise_triple(self, key: VarSet):
+        a, b, c = key
+        self._shrink(key, self._join(key))
+        val = self.triples[key]
+        self.failed = self.failed or not val
+        for (i, j), pkey in (((0, 1), (a, b)), ((0, 2), (a, c)),
+                             ((1, 2), (b, c))):
+            self._shrink(pkey, {(t[i], t[j]) for t in val})
+
+    def _round(self):
+        """Revise the constraints, materialized pairs and triples on the
+        scheduled variables, and the triples where one joins two
+        materialized pairs: a triple gets its second materialized pair only
+        with both ends scheduled, so this finds every new candidate."""
+        vs = set(self.dirty)
+        self.dirty.clear()
+        for i in sorted({i for v in vs for i in self.cons_on[v]}):
             if self.failed:
-                return True
-        return changed
-
-    def _candidate_triples(self) -> set[VarSet]:
-        cands = set(self.triples)
-        partners: dict = {}
-        for (a, b) in self.pairs:
-            partners.setdefault(a, set()).add(b)
-            partners.setdefault(b, set()).add(a)
-        for (a, b) in self.pairs:
-            for w in partners.get(a, ()) | partners.get(b, ()):
-                if w not in (a, b):
-                    cands.add(self.sort_vars((a, b, w)))
-        return cands
-
-    def _triple_pass(self) -> bool:
-        changed = False
-        for key in sorted(self._candidate_triples(),
-                          key=lambda k: tuple(self._order[v] for v in k)):
-            a, b, c = key
-            stored = self.triples.get(key)
-            join = self._join(key)
-            val = join if stored is None else (stored & join)
-            if stored is None or val < stored:
-                self.triples[key] = val
-                if stored is not None and val < stored:
-                    changed = True
-            if not val:
-                self.failed = True
-                return True
-            for (i, j, pkey) in (((0, 1), None, (a, b)), ((0, 2), None, (a, c)),
-                                 ((1, 2), None, (b, c))):
-                proj = {(t[i[0]], t[i[1]]) for t in val}
-                if self._set_pair(pkey, self.pair_value(pkey) & proj):
-                    changed = True
+                return
+            self._revise_constraint(i)
+        near = {k for v in vs for k in self.keys_on.get(v, ())}
+        for v in vs:  # pairs are materialized now for this round's triples
+            partners = [w for k in self.keys_on.get(v, ()) if len(k) == 2
+                        for w in k if w != v]
+            near.update(self.sort_vars((v, x, z)) for x, z in
+                        itertools.combinations(partners, 2))
+        for key in sorted(near, key=lambda k: (len(k), *map(self._order.get, k))):
             if self.failed:
-                return True
-        return changed
+                return
+            (self._revise_pair if len(key) == 2 else self._revise_triple)(key)
 
     def run(self) -> bool:
         """Propagate to the global fixpoint; False means inconsistent."""
-        while not self.failed:
-            changed = self._constraint_pass()
-            if self._pair_pass():
-                changed = True
-            if self._triple_pass():
-                changed = True
-            if not changed:
-                break
+        while self.dirty and not self.failed:
+            self._round()
         return not self.failed
-
-    def one_round_stable(self) -> bool:
-        changed = self._constraint_pass()
-        changed = self._pair_pass() or changed
-        changed = self._triple_pass() or changed
-        return not changed and not self.failed
 
     def assign(self, v, a) -> bool:
         """Restrict a variable to one value and re-propagate."""
         if a not in self.doms[v]:
             return False
-        self.doms[v] = {a}
+        self._set((v,), frozenset((a,)))
         return self.run()
+
+    def mark(self) -> int:
+        """Record replaced tables from this fixpoint on, for undo(mark)."""
+        if self.trail is None:
+            self.trail = []
+        return len(self.trail)
+
+    def undo(self, mark: int):
+        """Roll back to the fixpoint at which `mark` was taken."""
+        while len(self.trail) > mark:
+            table, k, old = self.trail.pop()
+            if old is _MISSING:
+                del table[k]
+                for v in k:
+                    self.keys_on[v].discard(k)
+            else:
+                dict.__setitem__(table, k, old)
+        self.dirty.clear()
+        self.failed = False
 
     def snapshot(self) -> tuple[MinimalityTables, Instance]:
         tables = MinimalityTables(self.variables, self.doms, self.pairs,
                                   self.triples)
         cons = []
-        for scope, _svars, tuples in self.cons:
-            sig = [self.inst.domains[v] & frozenset(self.doms[v]) for v in scope]
+        for (scope, _subs), tuples in zip(self.cons, self.rels.values()):
+            sig = [self.inst.domains[v] & self.doms[v] for v in scope]
             cons.append(Constraint(scope, relation(tuples, signature=sig)))
-        pruned = Instance(self.variables,
-                          {v: frozenset(self.doms[v]) for v in self.variables},
-                          cons, self.inst.algebra)
+        pruned = Instance(self.variables, self.doms, cons, self.inst.algebra)
         return tables, pruned
 
 
@@ -303,12 +306,9 @@ def is_3_minimal(inst: Instance, tables: MinimalityTables) -> bool:
     instance must carry domains matching the tables, and its constraints
     must already be pruned against them.
     """
-    for v in inst.variables:
-        if inst.domains[v] != tables.domains[v]:
-            return False
-    engine = Propagator(inst)
-    for key, val in tables.pairs.items():
-        engine.pairs[key] = set(val)
-    for key, val in tables.triples.items():
-        engine.triples[key] = set(val)
-    return engine.one_round_stable()
+    if any(inst.domains[v] != tables.domains[v] for v in inst.variables):
+        return False
+    engine = Propagator(inst, tables)
+    engine.dirty.update(engine.variables)
+    engine.fresh.update(engine.rels)
+    return engine.run() and engine.shrinks == 0

@@ -9,12 +9,15 @@ decreases the pair (lev, summ) lexicographically, where lev is the maximal
 size of a domain containing a semilattice edge; this is asserted at run
 time and surfaced as an internal error if violated.
 
-Base solver dispatch: all-majority domains extend greedily under
-re-propagation (bounded strict width); all-affine domains go to the
-compact-representation solver driven by the derived Maltsev operation;
-mixed domains fall back to complete backtracking search pruned by
-3-minimality (the generalized majority-minority interface admits this
-fallback at desk scale).
+Each node establishes 3-minimality once.  A semilattice-free node hands
+its pruned instance and tables to the base solver, which starts from that
+fixpoint instead of establishing it again.  Base solver dispatch:
+all-majority domains extend greedily, assigning on the node's engine
+(bounded strict width); all-affine domains go to the compact-representation
+solver driven by the derived Maltsev operation; mixed domains fall back to
+complete backtracking search that assigns on the node's engine and undoes
+failed choices through its trail (the generalized majority-minority
+interface admits this fallback at desk scale).
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .classify import (AFFINE, MAJORITY, ClassifierVerdict,
                        derive_m, gmm_violations)
 from .errors import InternalInvariantError, InvalidArgumentError
 from .maltsev import solve_with_maltsev
-from .minimality import Propagator, establish_3_minimality
+from .minimality import (MinimalityTables, Propagator,
+                         establish_3_minimality)
 from .model import (UNSAT, Algebra, Instance, Relation, SolveResult, sat,
                     summ, verify_assignment)
 from .reductions import (combine_solutions, exclude_components,
@@ -40,7 +44,6 @@ from .structure import as_components, is_semilattice_free, strands_of_instance
 @dataclass
 class SolveConfig:
     fast_probe: bool = False          # probe the plain multiplied instance
-    mixed_strategy: str = "backtracking"  # base solver for mixed sl-free domains
     verify: bool = True
 
 
@@ -92,12 +95,10 @@ def _assignment_from_domains(engine: Propagator) -> dict:
     return {v: min(engine.doms[v]) for v in engine.variables}
 
 
-def _solve_majority(inst: Instance) -> SolveResult:
-    """Greedy extension with re-propagation; never dead-ends under a
-    majority polymorphism once the instance is 3-minimal and nonempty."""
-    engine = Propagator(inst)
-    if not engine.run():
-        return UNSAT
+def _solve_majority(engine: Propagator) -> SolveResult:
+    """Greedy extension of an established engine with re-propagation;
+    never dead-ends under a majority polymorphism once the instance is
+    3-minimal and nonempty."""
     for v in engine.variables:
         if len(engine.doms[v]) == 1:
             continue
@@ -130,33 +131,41 @@ def _solve_affine(inst: Instance, graph: EdgeLabeledGraph,
     return sat({v: row[order[v]] for v in inst.variables})
 
 
-def _solve_mixed_backtracking(inst: Instance) -> SolveResult:
-    """Complete search with 3-minimality pruning at every assignment."""
-    est = establish_3_minimality(inst)
-    if est is None:
-        return UNSAT
-    pruned, _tables = est
-    open_vars = [v for v in pruned.variables if len(pruned.domains[v]) > 1]
-    if not open_vars:
-        assignment = {v: min(pruned.domains[v]) for v in pruned.variables}
-        if verify_assignment(pruned, assignment):
-            return UNSAT
-        return sat(assignment)
-    v = min(open_vars, key=lambda u: (len(pruned.domains[u]),
-                                      pruned.variables.index(u)))
-    for a in sorted(pruned.domains[v]):
-        doms = dict(pruned.domains)
-        doms[v] = frozenset({a})
-        res = _solve_mixed_backtracking(pruned.with_domains(doms))
-        if res.is_sat:
-            return res
-    return UNSAT
+def _solve_mixed_backtracking(engine: Propagator) -> SolveResult:
+    """Complete search from an established engine, propagating every choice.
+
+    Choice points live on an explicit stack and a failed choice is undone
+    through the engine's trail, so depth is not bounded by recursion."""
+    stack = []  # (trail mark, variable, values still to try)
+    while True:
+        open_vars = [v for v in engine.variables if len(engine.doms[v]) > 1]
+        if not open_vars:
+            return sat(_assignment_from_domains(engine))
+        v = min(open_vars, key=lambda u: len(engine.doms[u]))
+        first, *rest = sorted(engine.doms[v])
+        stack.append((engine.mark(), v, rest))
+        ok = engine.assign(v, first)
+        while not ok:
+            while stack and not stack[-1][2]:
+                stack.pop()
+            if not stack:
+                return UNSAT
+            mark, v, rest = stack[-1]
+            engine.undo(mark)
+            ok = engine.assign(v, rest.pop(0))
 
 
 def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
                            alg: Algebra,
-                           config: Optional[SolveConfig] = None) -> SolveResult:
-    """Base solver: majority, affine, or mixed majority/affine domains."""
+                           config: Optional[SolveConfig] = None,
+                           tables: Optional[MinimalityTables] = None
+                           ) -> SolveResult:
+    """Base solver: majority, affine, or mixed majority/affine domains.
+
+    `tables` are the 3-minimality tables that establish_3_minimality
+    returned together with `inst`; the base solvers then start from that
+    fixpoint.  Without them the fixpoint is established here first.
+    """
     config = config or SolveConfig()
     if not is_semilattice_free(inst, graph):
         raise InvalidArgumentError("instance is not semilattice-free")
@@ -166,20 +175,19 @@ def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
         if bad:
             raise InternalInvariantError(
                 f"derived operation misbehaves on domain of {v!r}: {bad[0]}")
-    est = establish_3_minimality(inst)
-    if est is None:
-        return UNSAT
-    pruned, _tables = est
+    pruned = inst
+    if tables is None:
+        est = establish_3_minimality(inst)
+        if est is None:
+            return UNSAT
+        pruned, tables = est
     kinds = _domain_pair_kinds(pruned, graph)
     if kinds <= {MAJORITY}:
-        res = _solve_majority(pruned)
+        res = _solve_majority(Propagator(pruned, tables))
     elif kinds <= {AFFINE}:
         res = _solve_affine(pruned, graph, alg)
     else:
-        if config.mixed_strategy != "backtracking":
-            raise InvalidArgumentError(
-                f"unknown mixed-domain strategy {config.mixed_strategy!r}")
-        res = _solve_mixed_backtracking(pruned)
+        res = _solve_mixed_backtracking(Propagator(pruned, tables))
     if res.is_sat and config.verify:
         bad = verify_assignment(inst, res.assignment)
         if bad:
@@ -225,7 +233,8 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph,
 
             if is_semilattice_free(pruned, graph):
                 trace.bump("sfree")
-                return solve_semilattice_free(pruned, graph, alg, config)
+                return solve_semilattice_free(pruned, graph, alg, config,
+                                              tables)
 
             here = measure(pruned)
             has_proper = any(

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ccsp import cli
 from ccsp.classify import check_uniformity_laws
 from ccsp.cli import main
 from ccsp.errors import OracleBudgetError
@@ -226,6 +227,17 @@ def test_cli_solve_refuses_np_complete_language(tmp_path):
                          "tuples": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}))
     assert main(["solve", str(inst)]) == 3
     assert main(["solve", str(inst), "--force-oracle"]) == 0
+
+
+def test_cli_crash_exits_internal(monkeypatch, capsys):
+    for exc in (RecursionError("maximum recursion depth exceeded"),
+                ValueError("two\nlines")):
+        def crash(args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_laws", crash)
+        assert main(["laws"]) == cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and type(exc).__name__ in err
 
 
 def test_cli_laws_ok():

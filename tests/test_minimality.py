@@ -103,3 +103,107 @@ def test_assign_and_repropagate():
     engine2.doms["x"] = {0}
     assert engine2.run()
     assert engine2.doms["z"] == {0}
+
+
+# -- differential checks of the worklist engine --------------------------------
+
+def reference_fixpoint(inst):
+    """Greatest fixpoint over explicit tables on every set of one to three
+    variables, by plain full passes; None when a table empties."""
+    keys = [k for size in (1, 2, 3)
+            for k in itertools.combinations(inst.variables, size)]
+    tab = {k: set(itertools.product(*(inst.domains[v] for v in k)))
+           for k in keys}
+    cons = [(scope, {t for t in rel.tuples if all(
+        t[i] == t[scope.index(v)] for i, v in enumerate(scope))})
+        for scope, rel in inst.constraints]
+    changed = True
+    while changed and all(tab.values()):
+        changed = False
+        for scope, tuples in cons:
+            subs = [k for k in keys if set(k) <= set(scope)]
+
+            def proj(t, k):
+                return tuple(t[scope.index(v)] for v in k)
+            keep = {t for t in tuples if all(proj(t, k) in tab[k] for k in subs)}
+            changed |= len(keep) < len(tuples)
+            tuples &= keep
+            for k in subs:
+                new = tab[k] & {proj(t, k) for t in tuples}
+                changed |= len(new) < len(tab[k])
+                tab[k] = new
+        for k in keys[len(inst.variables):]:
+            for sub in itertools.combinations(range(len(k)), len(k) - 1):
+                skey = tuple(k[i] for i in sub)
+                new = {t for t in tab[k] if tuple(t[i] for i in sub) in tab[skey]}
+                changed |= len(new) < len(tab[k])
+                tab[k] = new
+                down = tab[skey] & {tuple(t[i] for i in sub) for t in new}
+                changed |= len(down) < len(tab[skey])
+                tab[skey] = down
+    if not all(tab.values()) or not all(t for _s, t in cons):
+        return None
+    return tab, [t for _s, t in cons]
+
+
+def mixed_instances(count=100):
+    """Harness instances over semilattice-free (majority/affine) algebras."""
+    for seed in range(count):
+        cfg = GeneratorConfig(seed=seed, domain_size=3 + seed % 2,
+                              variable_count=10 + seed % 3,
+                              constraint_count=4 + seed % 5, max_arity=3,
+                              label_weights=(0, 1, 1))
+        alg, graph = gen_algebra(cfg)
+        yield seed, gen_instance(alg, graph, cfg)
+
+
+def assert_same_fixpoint(seed, tables, pruned, ref_tables, ref_tuples):
+    for key, want in ref_tables.items():
+        assert tables.table(key) == want, (seed, key)
+    assert [c.relation.tuples for c in pruned.constraints] == ref_tuples, seed
+
+
+def test_fixpoint_matches_reference_on_mixed_instances():
+    sat_count = 0
+    for seed, inst in mixed_instances():
+        ref = reference_fixpoint(inst)
+        out = establish_3_minimality(inst)
+        assert (out is None) == (ref is None), seed
+        if out is None:
+            continue
+        sat_count += 1
+        pruned, tables = out
+        assert_same_fixpoint(seed, tables, pruned, *ref)
+        assert is_3_minimal(pruned, tables), seed
+    assert sat_count >= 30
+
+
+def test_assign_on_established_engine_matches_fresh_fixpoint():
+    checked = 0
+    for seed, inst in mixed_instances():
+        out = establish_3_minimality(inst)
+        if out is None:
+            continue
+        pruned, tables = out
+        engine = Propagator(pruned, tables)
+        mark = engine.mark()
+        for v in pruned.variables:
+            if len(pruned.domains[v]) < 2:
+                continue
+            a = max(pruned.domains[v])
+            fixed = pruned.with_domains({**pruned.domains, v: {a}})
+            fresh, ref = establish_3_minimality(fixed), reference_fixpoint(fixed)
+            assert (fresh is None) == (ref is None), (seed, v)
+            assert engine.assign(v, a) == (fresh is not None), (seed, v)
+            if fresh is not None:
+                got_tables, got = engine.snapshot()
+                assert got.domains == fresh[0].domains, (seed, v)
+                assert_same_fixpoint(seed, got_tables, got, *ref)
+                checked += 1
+            engine.undo(mark)
+            back_tables, back = engine.snapshot()
+            assert back.domains == pruned.domains, (seed, v)
+            assert back_tables.pairs == tables.pairs, (seed, v)
+            assert back_tables.triples == tables.triples, (seed, v)
+            assert back.constraints == pruned.constraints, (seed, v)
+    assert checked >= 100

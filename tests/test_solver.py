@@ -5,11 +5,14 @@ import pytest
 from ccsp.classify import (AFFINE, MAJORITY, ConstraintLanguage,
                            EdgeLabeledGraph, PairLabel, semilattice_label)
 from ccsp.errors import InvalidArgumentError
-from ccsp.harness import (GeneratorConfig, brute_force_solve, canonical_a3,
+from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve, canonical_a3,
                           canonical_algebra, gen_algebra, gen_instance)
+from ccsp.minimality import Propagator, establish_3_minimality
 from ccsp.model import Instance, close_under_ops, relation, verify_assignment
-from ccsp.solver import (SolveConfig, classify_and_solve, lev, solve,
+from ccsp.solver import (SolveConfig, _solve_mixed_backtracking,
+                         classify_and_solve, lev, solve,
                          solve_semilattice_free)
+from test_minimality import mixed_instances
 
 
 def graph_of(n, kind):
@@ -75,6 +78,55 @@ def test_mixed_base_solver():
                         signature=[{0, 2}, {1, 2}]))], alg)
     res = solve_semilattice_free(inst, graph, alg)
     assert res.status == brute_force_solve(inst).status
+
+
+def mixed_graph():
+    return EdgeLabeledGraph(3, {(0, 1): PairLabel(AFFINE),
+                                (0, 2): PairLabel(MAJORITY),
+                                (1, 2): PairLabel(MAJORITY)})
+
+
+def backtracking_instances():
+    """The harness's majority/affine instances, and seeded 3-XOR systems
+    over the affine pair {0, 1} with one idle {0, 1, 2} variable, which
+    3-minimality mostly cannot refute."""
+    yield from mixed_instances()
+    alg = canonical_algebra(mixed_graph())
+    xor = {c: relation([t for t in itertools.product((0, 1), repeat=3)
+                        if sum(t) % 2 == c]) for c in (0, 1)}
+    for seed in range(60):
+        rng = Rng(seed)
+        names = [f"x{i}" for i in range(10 + seed % 4)]
+        cons = [(tuple(rng.sample(names, 3)), xor[rng.randint(0, 1)])
+                for _ in range(len(names) - 2 + seed % 4)]
+        doms = {**{v: {0, 1} for v in names}, "idle": {0, 1, 2}}
+        yield seed, Instance(names + ["idle"], doms, cons, alg)
+
+
+def test_mixed_backtracking_matches_brute_force():
+    searched = {"sat": 0, "unsat": 0}
+    for seed, inst in backtracking_instances():
+        want = brute_force_solve(inst)
+        out = establish_3_minimality(inst)
+        if out is None:
+            assert not want.is_sat, seed
+            continue
+        res = _solve_mixed_backtracking(Propagator(out[0], out[1]))
+        assert res.status == want.status, seed
+        if res.is_sat:
+            assert verify_assignment(inst, res.assignment) == [], seed
+        searched[res.status] += 1
+    assert searched["sat"] >= 50 and searched["unsat"] >= 10
+
+
+def test_constraint_free_mixed_instance_beyond_recursion_limit():
+    graph = mixed_graph()
+    alg = canonical_algebra(graph)
+    names = [f"x{i}" for i in range(1200)]
+    inst = Instance(names, {v: {0, 1, 2} for v in names}, [], alg)
+    res, _trace = solve(inst, alg, graph)
+    assert res.is_sat
+    assert verify_assignment(inst, res.assignment) == []
 
 
 # -- driver --------------------------------------------------------------------
