@@ -13,7 +13,8 @@ from .classify import (AFFINE, MAJORITY, NONE, SEMILATTICE,
                        classify_language, classify_pair, derive_m,
                        semilattice_label, synthesize_uniform_ops)
 from .errors import (CcspError, InternalInvariantError, InvalidArgumentError,
-                     OracleBudgetError, SynthesisFailureError)
+                     NPCompleteLanguageError, OracleBudgetError,
+                     SynthesisFailureError)
 from .harness import (GeneratorConfig, Rng, brute_force_solve,
                       brute_force_solutions, canonical_a3, canonical_algebra,
                       gen_algebra, gen_instance, gen_planted_instance,

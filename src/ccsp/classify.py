@@ -14,10 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import InvalidArgumentError, SynthesisFailureError
-from .indicator import search_operation, table_from_assignment
+from .indicator import (Network, preserves, search_operation,
+                        table_from_assignment)
 from .model import Algebra, Relation
 
 SEMILATTICE = "semilattice"
@@ -138,70 +137,48 @@ def _pair_cells(a: int, b: int, arity: int):
             yield cell
 
 
-def classify_pair(lang: ConstraintLanguage, a: int, b: int) -> PairLabel:
+def _network(lang: ConstraintLanguage, arity: int,
+             networks: dict[int, Network]) -> Network:
+    """The language's preservation network at `arity`, compiled on first use."""
+    if arity not in networks:
+        networks[arity] = Network(lang.size, arity, lang.relations)
+    return networks[arity]
+
+
+def classify_pair(lang: ConstraintLanguage, a: int, b: int,
+                  networks: Optional[dict[int, Network]] = None) -> PairLabel:
     """Label one pair by searching for conservative polymorphisms.
 
     Precedence: semilattice (either orientation) beats majority beats
-    affine; `none` means no tractable restriction exists.
+    affine; `none` means no tractable restriction exists.  `networks` holds
+    the language's compiled networks by arity, shared between calls on the
+    same language and filled as needed.
     """
     if a == b or a not in range(lang.size) or b not in range(lang.size):
         raise InvalidArgumentError(f"bad pair ({a}, {b})")
     rels = lang.relations
+    nets = {} if networks is None else networks
     dirs = []
     for (src, snk) in ((min(a, b), max(a, b)), (max(a, b), min(a, b))):
         found = search_operation(
-            lang.size, 2, rels, pinned={(src, snk): snk, (snk, src): snk})
+            lang.size, 2, rels, pinned={(src, snk): snk, (snk, src): snk},
+            network=_network(lang, 2, nets))
         if found is not None:
             dirs.append((src, snk))
     if dirs:
         return semilattice_label(dirs)
 
     pinned_maj = {c: _majority_value(*c) for c in _pair_cells(a, b, 3)}
-    if search_operation(lang.size, 3, rels, pinned=pinned_maj) is not None:
+    if search_operation(lang.size, 3, rels, pinned=pinned_maj,
+                        network=_network(lang, 3, nets)) is not None:
         return PairLabel(MAJORITY)
 
     pinned_aff = {c: _minority_value(*c) for c in _pair_cells(a, b, 3)}
-    if search_operation(lang.size, 3, rels, pinned=pinned_aff) is not None:
+    if search_operation(lang.size, 3, rels, pinned=pinned_aff,
+                        network=_network(lang, 3, nets)) is not None:
         return PairLabel(AFFINE)
 
     return PairLabel(NONE)
-
-
-def _np_rows(rel: Relation) -> np.ndarray:
-    return np.asarray(rel.sorted_tuples(), dtype=np.int64)
-
-
-def _codes(rows: np.ndarray, size: int) -> np.ndarray:
-    return rows @ (size ** np.arange(rows.shape[1], dtype=np.int64))
-
-
-def binary_preserves(table, relations: Sequence[Relation], size: int) -> bool:
-    tab = np.asarray(table, dtype=np.int64)
-    for rel in relations:
-        if not rel.tuples:
-            continue
-        rows = _np_rows(rel)
-        ok = set(_codes(rows, size).tolist())
-        img = tab[rows[:, None, :], rows[None, :, :]].reshape(-1, rel.arity)
-        if not np.isin(_codes(img, size), list(ok)).all():
-            return False
-    return True
-
-
-def ternary_preserves(table, relations: Sequence[Relation], size: int) -> bool:
-    tab = np.asarray(table, dtype=np.int64)
-    for rel in relations:
-        if not rel.tuples:
-            continue
-        rows = _np_rows(rel)
-        ok = set(_codes(rows, size).tolist())
-        n = len(rows)
-        for i in range(n):
-            img = tab[rows[i, None, None, :], rows[:, None, :],
-                      rows[None, :, :]].reshape(-1, rel.arity)
-            if not np.isin(_codes(img, size), list(ok)).all():
-                return False
-    return True
 
 
 def _build_f(size: int, graph: EdgeLabeledGraph,
@@ -253,15 +230,17 @@ def _ternary_pins(graph: EdgeLabeledGraph, f, role: str) -> dict:
     return pins
 
 
-def synthesize_uniform_ops(lang: ConstraintLanguage,
-                           graph: EdgeLabeledGraph) -> Algebra:
+def synthesize_uniform_ops(lang: ConstraintLanguage, graph: EdgeLabeledGraph,
+                           networks: Optional[dict[int, Network]] = None
+                           ) -> Algebra:
     """Search operation tables realizing the uniform pair behavior.
 
     Deterministic: semilattice orientations are tried smaller-source-first,
-    free ternary cells prefer their first argument.
+    free ternary cells prefer their first argument.  `networks` as for
+    `classify_pair`.
     """
-    size = lang.size
-    rels = [r for r in lang.relations if r.tuples]
+    size, rels = lang.size, lang.relations
+    nets = {} if networks is None else networks
     sl_pairs = [(a, b) for (a, b) in graph.pairs()
                 if graph.kind(a, b) == SEMILATTICE]
     for (a, b) in graph.pairs():
@@ -276,16 +255,17 @@ def synthesize_uniform_ops(lang: ConstraintLanguage,
     for combo in itertools.product(*choice_lists):
         orientation = dict(zip(sl_pairs, combo))
         f = _build_f(size, graph, orientation)
-        if not binary_preserves(f, rels, size):
+        if not preserves(f, rels):
             continue
         p = _build_p(size, graph, f)
-        if not binary_preserves(p, rels, size):
+        if not preserves(p, rels):
             continue
-        g_cells = search_operation(size, 3, rels,
+        ternary = _network(lang, 3, nets)
+        g_cells = search_operation(size, 3, rels, network=ternary,
                                    pinned=_ternary_pins(graph, f, "g"))
         if g_cells is None:
             continue
-        h_cells = search_operation(size, 3, rels,
+        h_cells = search_operation(size, 3, rels, network=ternary,
                                    pinned=_ternary_pins(graph, f, "h"))
         if h_cells is None:
             continue
@@ -299,18 +279,15 @@ def synthesize_uniform_ops(lang: ConstraintLanguage,
 
 def classify_language(lang: ConstraintLanguage) -> ClassifierVerdict:
     """Full dichotomy verdict; deterministic given the language."""
-    if lang.size == 1:
-        graph = EdgeLabeledGraph(1, {})
-        alg = synthesize_uniform_ops(lang, graph)
-        return ClassifierVerdict("tractable", graph, alg)
+    networks: dict[int, Network] = {}  # compiled once, dropped on return
     labels = {}
     for a, b in itertools.combinations(range(lang.size), 2):
-        lab = classify_pair(lang, a, b)
+        lab = classify_pair(lang, a, b, networks)
         if lab.kind == NONE:
             return ClassifierVerdict("np-complete", witness_pair=(a, b))
         labels[(a, b)] = lab
     graph = EdgeLabeledGraph(lang.size, labels)
-    alg = synthesize_uniform_ops(lang, graph)
+    alg = synthesize_uniform_ops(lang, graph, networks)
     graph = graph.with_orientations_from(alg.f)
     return ClassifierVerdict("tractable", graph, alg)
 
@@ -361,15 +338,9 @@ def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph,
             if h[x][y][z] != want_h:
                 out.append(f"h({x},{y},{z})={h[x][y][z]} should be {want_h} "
                            f"on {kind} pair ({a},{b})")
-    rels = [r for r in relations if r.tuples]
-    if rels:
-        size = alg.size
-        for name, tab in alg.binary_ops().items():
-            if not binary_preserves(tab, rels, size):
-                out.append(f"{name} is not a polymorphism of the language")
-        for name, tab in alg.ternary_ops().items():
-            if not ternary_preserves(tab, rels, size):
-                out.append(f"{name} is not a polymorphism of the language")
+    for name, tab in alg.all_ops().items():
+        if not preserves(tab, relations):
+            out.append(f"{name} is not a polymorphism of the language")
     return out
 
 

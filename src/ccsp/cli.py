@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .classify import classify_language
 from .errors import (InternalInvariantError, InvalidArgumentError,
-                     OracleBudgetError)
+                     NPCompleteLanguageError, OracleBudgetError)
 from .harness import (GeneratorConfig, brute_force_solve, gen_algebra,
                       gen_instance, gen_planted_instance, run_law_suite)
 from .jsonio import (algebra_from_obj, algebra_to_obj, dump, instance_from_obj,
@@ -76,20 +76,20 @@ def cmd_solve(args) -> int:
             else:
                 alg, graph = algebra_from_obj(algebra_ref)
         inst, alg, graph = _resolve_algebra(args, inst, alg, graph)
-    except InvalidArgumentError as exc:
-        if "NP-complete" in str(exc):
-            if args.force_oracle:
-                res = brute_force_solve(inst)
-                obj = result_to_obj(PipelineResult(res.status, res.assignment,
-                                                   oracle_used=True))
-                _emit(obj, args.json, [f"{res.status} (oracle; language is "
-                                       "NP-complete)"])
-                return EXIT_OK if res.is_sat else EXIT_UNSAT
-            _emit({"status": "np-complete"}, args.json,
-                  ["np-complete language; refusing to solve "
-                   "(pass --force-oracle to override)"])
-            return EXIT_NP_COMPLETE
-        raise
+    except NPCompleteLanguageError as exc:
+        witness = exc.witness_pair
+        if args.force_oracle:
+            res = brute_force_solve(inst)
+            obj = result_to_obj(PipelineResult(res.status, res.assignment,
+                                               witness_pair=witness,
+                                               oracle_used=True))
+            _emit(obj, args.json, [f"{res.status} (oracle; language is "
+                                   "NP-complete)"])
+            return EXIT_OK if res.is_sat else EXIT_UNSAT
+        _emit({"status": "np-complete", "witness_pair": list(witness)},
+              args.json, [f"np-complete language (witness pair {witness}); "
+                          "refusing to solve (pass --force-oracle to override)"])
+        return EXIT_NP_COMPLETE
     config = SolveConfig(fast_probe=args.fast_probe)
     result, trace = solve(inst, alg, graph, config)
     pipeline = PipelineResult(result.status, result.assignment,

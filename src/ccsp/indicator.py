@@ -1,130 +1,269 @@
-"""Backtracking search for conservative operation tables.
+"""Search for conservative operation tables, and the preservation check.
 
 A candidate k-ary operation is a table assigning to each k-tuple of
 elements one of its own entries (conservativity; idempotency follows on
 constant tuples).  Preserving a relation R means: for every k-tuple of rows
-of R, the componentwise image is again in R.  Each such row combination
-yields one constraint linking the table cells found in its columns.
+of R, the componentwise image is again in R.  Each non-constant row
+combination yields one constraint linking the table cells found in its
+columns.
 
-The search assigns cells in a most-constrained-first order with forward
-checking on the per-combination constraints.
+`Network` compiles these constraints once per (relations, arity): constant
+cells are substituted, repeated cells merged, one-cell constraints folded
+into the cell domains, and each constraint keeps, per position and value,
+the bitmask of its rows holding that value there.  A search pins some cells
+and assigns the rest in a fixed most-constrained-first order, maintaining
+arc consistency (MAC): the rows of a constraint still live are the AND over
+its positions of the rows whose value lies in the cell's domain, and each
+domain is cut to the values of the live rows.  Pruning only removes dead
+subtrees, so the table found is the first one in the static cell and value
+order.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from collections import Counter
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidArgumentError
-from .model import Relation
+from .model import Relation, table_arity
 
 Cell = tuple[int, ...]
 
 
-class _Constraint:
-    __slots__ = ("cells", "tuples")
-
-    def __init__(self, cells: tuple[Cell, ...], tuples: list[tuple[int, ...]]):
-        self.cells = cells
-        self.tuples = tuples
+def _options(cell: Cell) -> tuple[int, ...]:
+    """Conservative values of a cell, first argument first."""
+    return tuple(dict.fromkeys(cell))
 
 
 def _cell_order_key(cell: Cell) -> tuple:
     return (len(set(cell)), cell)
 
 
+class _RowsIn(dict):
+    """Bitmask of values -> bitmask of the rows whose value at one position
+    lies in it, filled on first use."""
+
+    def __init__(self, column: tuple[int, ...]):
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, values: int) -> int:
+        rows = self[values] = sum(1 << r for r, v in enumerate(self.column)
+                                  if values >> v & 1)
+        return rows
+
+
+class _Images(dict):
+    """Bitmask of rows -> per position, the bitmask of their values there,
+    filled on first use."""
+
+    def __init__(self, rows: list[tuple[int, ...]]):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, live: int) -> tuple[int, ...]:
+        images = [0] * len(self.rows[0])
+        for r, t in enumerate(self.rows):
+            if live >> r & 1:
+                for i, v in enumerate(t):
+                    images[i] |= 1 << v
+        images = self[live] = tuple(images)
+        return images
+
+
+def _reduce(rows, consts, repeats):
+    """A row combination's constraint once its constant cells (consts[p]
+    the value, else None) are substituted and each cell repeated at
+    position p (first seen at repeats[p]) is merged.
+
+    None if no row fits.  Else (number of cells left, getter of those cells
+    from the combination's cells, allowed): allowed is the bitmask of the
+    values left when one cell is left, otherwise the lookups of the rows
+    over the cells left: one `_RowsIn` per position and their `_Images`.
+    """
+    slots = [p for p, q in enumerate(repeats) if p == q and consts[p] is None]
+    checks = list(enumerate(zip(repeats, consts)))
+    fits = [t for t in rows if all(t[p] == (t[q] if c is None else c)
+                                   for p, (q, c) in checks)]
+    if not fits:
+        return None
+    if len(slots) == 1:
+        allowed = sum({1 << t[slots[0]] for t in fits})
+    else:
+        kept = sorted({tuple(t[p] for p in slots) for t in fits})
+        allowed = (tuple(map(_RowsIn, zip(*kept))), _Images(kept))
+    return len(slots), itemgetter(*slots), allowed
+
+
+class Network:
+    """Preservation constraints of `relations` on conservative k-ary tables.
+
+    Built once and searched under any number of `pinned` cell sets; it
+    keeps the arc-consistent domains without pins, found by its first
+    search, so it must not outlive the relations it was compiled from.
+    """
+
+    def __init__(self, size: int, arity: int, relations: Sequence[Relation]):
+        self.size, self.arity = size, arity
+        self.grid = list(itertools.product(range(size), repeat=arity))
+        # Constant cells keep their one value; the others are searched.
+        constant = {c: c[0] for c in self.grid if len(set(c)) == 1}
+        self.feasible = True
+        unary = []  # (cell, bitmask of its values allowed)
+        scopes = []  # (cells, lookups of the rows allowed over them)
+        for rel in {id(rel): rel for rel in relations if rel.tuples}.values():
+            rows = rel.sorted_tuples()
+            reduced: dict = {}  # by constants and repeats of the cells
+            for combo in itertools.product(rows, repeat=arity):
+                if combo.count(combo[0]) == arity:
+                    continue
+                cells = tuple(zip(*combo))
+                key = (tuple(map(constant.get, cells)),
+                       tuple(map(cells.index, cells)))
+                if key not in reduced:
+                    reduced[key] = _reduce(rows, *key)
+                if reduced[key] is None:
+                    self.feasible = False
+                    continue
+                left, pick, allowed = reduced[key]
+                (unary if left == 1 else scopes).append((pick(cells), allowed))
+        degree = Counter(cell for cell, _mask in unary)
+        degree.update(itertools.chain.from_iterable(
+            cells for cells, _lookups in scopes))
+
+        # Searched cells in the static order, most constrained first, then
+        # the constant cells.
+        order = sorted((c for c in self.grid if c not in constant),
+                       key=lambda c: (-degree[c], _cell_order_key(c)))
+        self.searched = len(order)
+        order += constant
+        self.index = index = {c: i for i, c in enumerate(order)}
+        self.options = [_options(c) for c in order]
+        self.domains = [sum(1 << v for v in opts) for opts in self.options]
+        self.start = [opts[0] for opts in self.options]
+        for cell, mask in unary:
+            self.domains[index[cell]] &= mask
+        # (scope in search order, rows by position, images), and per cell
+        # the constraints on it; constraints reduced alike share lookups
+        self.constraints = [(tuple(map(index.__getitem__, cells)), *lookups)
+                            for cells, lookups in scopes]
+        self.on_cell: list[list[int]] = [[] for _ in order]
+        for k, (scope, _rows_in, _images) in enumerate(self.constraints):
+            for c in scope:
+                self.on_cell[c].append(k)
+        self._root: Optional[list[int]] = None  # arc consistent, unpinned
+
+    def _propagate(self, dom: list[int], queue: list[int],
+                   trail: list) -> bool:
+        """Arc consistency from the constraints in `queue`: every value
+        left in a domain lies in a row of each constraint on its cell whose
+        values all lie in the domains.  False when a domain empties."""
+        on_cell, constraints = self.on_cell, self.constraints
+        waiting = set(queue)
+        while queue:
+            k = queue.pop(0)
+            waiting.discard(k)
+            scope, rows_in, images = constraints[k]
+            live = -1  # the rows whose values all lie in the domains
+            for c, rows in zip(scope, rows_in):
+                live &= rows[dom[c]]
+            if not live:
+                return False
+            for c, image in zip(scope, images[live]):
+                if image != dom[c]:
+                    trail.append((c, dom[c]))
+                    dom[c] = image
+                    fresh = [j for j in on_cell[c]
+                             if j != k and j not in waiting]
+                    waiting.update(fresh)
+                    queue += fresh
+        return True
+
+    def _dfs(self, dom: list[int], val: list[int]) -> bool:
+        """Assign the searched cells in order, first option first, keeping
+        arc consistency; True once all are assigned (`val` holds the
+        table), False if none fits."""
+        trail: list[tuple[int, int]] = []
+        tried = [0] * (self.searched + 1)  # next option index per cell
+        marks = [0] * (self.searched + 1)  # trail length on reaching a cell
+        cell = 0
+        while cell < self.searched:
+            while len(trail) > marks[cell]:
+                c, old = trail.pop()
+                dom[c] = old
+            options, mask, k = self.options[cell], dom[cell], tried[cell]
+            while k < len(options) and not mask >> options[k] & 1:
+                k += 1
+            if k == len(options):
+                if cell == 0:
+                    return False
+                cell -= 1
+                continue
+            tried[cell] = k + 1
+            val[cell] = v = options[k]
+            if mask != 1 << v:  # a domain of one value is propagated already
+                trail.append((cell, mask))
+                dom[cell] = 1 << v
+                if not self._propagate(dom, list(self.on_cell[cell]), trail):
+                    continue
+            cell += 1
+            tried[cell] = 0
+            marks[cell] = len(trail)
+        return True
+
+    def search(self, pinned: Optional[dict[Cell, int]] = None
+               ) -> Optional[dict[Cell, int]]:
+        """The first conservative table preserving the relations, or None."""
+        pinned = pinned or {}
+        cut = {}  # pinned cell -> its one value as a bitmask
+        for cell, want in pinned.items():
+            c = self.index.get(cell)
+            if c is None:  # not a cell of this table
+                continue
+            if want not in self.options[c]:
+                raise InvalidArgumentError(
+                    f"pinned value {want} at {cell} is not conservative")
+            cut[c] = 1 << want
+        if self._root is None:
+            dom = list(self.domains)
+            if not (self.feasible and all(dom) and self._propagate(
+                    dom, list(range(len(self.constraints))), [])):
+                dom = []
+            self._root = dom
+        if not self._root:
+            return None
+        dom = list(self._root)
+        queue: dict = {}  # constraints on the cells the pins cut, once each
+        for c, mask in cut.items():
+            if dom[c] != mask:
+                if not dom[c] & mask:
+                    return None
+                dom[c] = mask
+                queue.update(dict.fromkeys(self.on_cell[c]))
+        val = list(self.start)
+        if not (self._propagate(dom, list(queue), []) and self._dfs(dom, val)):
+            return None
+        index = self.index
+        return {c: val[index[c]] for c in self.grid}
+
+
 def search_operation(size: int, arity: int, relations: Sequence[Relation],
                      pinned: Optional[dict[Cell, int]] = None,
-                     prefer: Optional[Callable[[Cell], Sequence[int]]] = None,
+                     network: Optional[Network] = None,
                      ) -> Optional[dict[Cell, int]]:
     """Find a conservative table preserving all relations, or None.
 
-    `pinned` fixes chosen cells (values must be conservative).  `prefer`
-    orders the candidate values of a free cell; default tries the first
-    argument first.
+    `pinned` fixes chosen cells (values must be conservative); free cells
+    try their first argument first.  `network`, compiled from the same
+    size, arity and relations, saves compiling them again.
     """
-    pinned = pinned or {}
-    domains: dict[Cell, list[int]] = {}
-    for cell in itertools.product(range(size), repeat=arity):
-        options = []
-        for v in cell:
-            if v not in options:
-                options.append(v)
-        if cell in pinned:
-            want = pinned[cell]
-            if want not in options:
-                raise InvalidArgumentError(
-                    f"pinned value {want} at {cell} is not conservative")
-            options = [want]
-        elif prefer is not None:
-            ranked = [v for v in prefer(cell) if v in options]
-            options = ranked + [v for v in options if v not in ranked]
-        domains[cell] = options
-
-    constraints: list[_Constraint] = []
-    seen_scopes: set[tuple] = set()
-    for rel in relations:
-        rows = rel.sorted_tuples()
-        if not rows:
-            continue
-        for combo in itertools.product(rows, repeat=arity):
-            if all(t == combo[0] for t in combo[1:]):
-                continue
-            cells = tuple(tuple(t[i] for t in combo) for i in range(rel.arity))
-            scope_key = (id(rel), cells)
-            if scope_key in seen_scopes:
-                continue
-            seen_scopes.add(scope_key)
-            constraints.append(_Constraint(cells, rows))
-
-    by_cell: dict[Cell, list[_Constraint]] = {}
-    for con in constraints:
-        for c in set(con.cells):
-            by_cell.setdefault(c, []).append(con)
-
-    assignment: dict[Cell, int] = {c: opts[0] for c, opts in domains.items()
-                                   if len(opts) == 1}
-
-    def consistent(con: _Constraint) -> bool:
-        picks = [assignment.get(c) for c in con.cells]
-        for t in con.tuples:
-            if all(p is None or p == t[i] for i, p in enumerate(picks)):
-                return True
-        return False
-
-    for con in constraints:
-        if all(c in assignment for c in con.cells) and not consistent(con):
-            return None
-
-    free = sorted((c for c, opts in domains.items() if len(opts) > 1),
-                  key=lambda c: (-len(by_cell.get(c, ())), _cell_order_key(c)))
-
-    def forward_values(cell: Cell) -> list[int]:
-        """Values of `cell` surviving all constraints it completes."""
-        values = []
-        for v in domains[cell]:
-            assignment[cell] = v
-            ok = all(consistent(con) for con in by_cell.get(cell, ())
-                     if all(c in assignment for c in con.cells))
-            del assignment[cell]
-            if ok:
-                values.append(v)
-        return values
-
-    def dfs(i: int) -> bool:
-        if i == len(free):
-            return True
-        cell = free[i]
-        for v in forward_values(cell):
-            assignment[cell] = v
-            if dfs(i + 1):
-                return True
-            del assignment[cell]
-        return False
-
-    if not dfs(0):
-        return None
-    return dict(assignment)
+    if network is None:
+        network = Network(size, arity, relations)
+    elif (network.size, network.arity) != (size, arity):
+        raise InvalidArgumentError("network compiled for another size or arity")
+    return network.search(pinned)
 
 
 def table_from_assignment(size: int, arity: int, assignment: dict[Cell, int]):
@@ -139,28 +278,28 @@ def table_from_assignment(size: int, arity: int, assignment: dict[Cell, int]):
 def enumerate_conservative_tables(size: int, arity: int) -> Iterable[dict[Cell, int]]:
     """All conservative tables; exponential, for small cross-check oracles."""
     cells = list(itertools.product(range(size), repeat=arity))
-    option_lists = []
-    for cell in cells:
-        opts = []
-        for v in cell:
-            if v not in opts:
-                opts.append(v)
-        option_lists.append(opts)
-    for values in itertools.product(*option_lists):
+    for values in itertools.product(*map(_options, cells)):
         yield dict(zip(cells, values))
 
 
-def preserves(table, relations: Sequence[Relation], arity: int) -> bool:
-    """Direct check that a nested-tuple table preserves every relation."""
+def preserves(table, relations: Sequence[Relation]) -> bool:
+    """True if the nested-tuple table maps every tuple of rows of each
+    relation, componentwise, into that relation.
+
+    The arity is the table's nesting depth; constant row combinations are
+    checked too, so the table need not be idempotent.
+    """
+    arity = table_arity(table)
+    flat = [table]
+    for _ in range(arity):
+        flat = [x for row in flat for x in row]
+    weights = [len(table) ** (arity - 1 - j) for j in range(arity)]
     for rel in relations:
-        rows = rel.sorted_tuples()
-        for combo in itertools.product(rows, repeat=arity):
-            out = []
-            for i in range(rel.arity):
-                node = table
-                for t in combo:
-                    node = node[t[i]]
-                out.append(node)
-            if tuple(out) not in rel.tuples:
+        # row t as the j-th argument adds t[i] * weights[j] to the flat
+        # index of the cell read for position i
+        scaled = [[tuple(v * w for v in t) for t in rel.tuples] for w in weights]
+        for combo in itertools.product(*scaled):
+            image = tuple(map(flat.__getitem__, map(sum, zip(*combo))))
+            if image not in rel.tuples:
                 return False
     return True

@@ -17,7 +17,7 @@ from .classify import (AFFINE, MAJORITY, SEMILATTICE,
                        ClassifierVerdict, ConstraintLanguage,
                        EdgeLabeledGraph, PairLabel, classify_language,
                        semilattice_label)
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NPCompleteLanguageError
 from .model import Algebra, Constraint, Instance, relation
 from .solver import PipelineResult
 
@@ -113,9 +113,7 @@ def algebra_from_obj(source: JsonLike) -> tuple[Algebra, EdgeLabeledGraph]:
             "algebra file needs either tables or relations to synthesize from")
     verdict: ClassifierVerdict = classify_language(language_from_obj(obj))
     if not verdict.tractable:
-        raise InvalidArgumentError(
-            f"language is NP-complete (witness pair {verdict.witness_pair}); "
-            "no algebra exists")
+        raise NPCompleteLanguageError(verdict.witness_pair)
     return verdict.algebra, verdict.graph
 
 

@@ -278,9 +278,13 @@ class Propagator:
         tables = MinimalityTables(self.variables, self.doms, self.pairs,
                                   self.triples)
         cons = []
-        for (scope, _subs), tuples in zip(self.cons, self.rels.values()):
-            sig = [self.inst.domains[v] & self.doms[v] for v in scope]
-            cons.append(Constraint(scope, relation(tuples, signature=sig)))
+        for old, tuples in zip(self.inst.constraints, self.rels.values()):
+            sig = tuple(self.inst.domains[v] & self.doms[v] for v in old.scope)
+            if tuples == old.relation.tuples and sig == old.relation.signature:
+                cons.append(old)  # nothing shrank: no tuple to check again
+            else:
+                cons.append(Constraint(old.scope,
+                                       relation(tuples, signature=sig)))
         pruned = Instance(self.variables, self.doms, cons, self.inst.algebra)
         return tables, pruned
 

@@ -44,18 +44,6 @@ class Algebra:
     def all_ops(self) -> dict[str, tuple]:
         return {**self.binary_ops(), **self.ternary_ops()}
 
-    def fv(self, a: int, b: int) -> int:
-        return self.f[a][b]
-
-    def pv(self, a: int, b: int) -> int:
-        return self.p[a][b]
-
-    def gv(self, a: int, b: int, c: int) -> int:
-        return self.g[a][b][c]
-
-    def hv(self, a: int, b: int, c: int) -> int:
-        return self.h[a][b][c]
-
 
 def table_arity(table) -> int:
     """Nesting depth of an operation table."""

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,8 @@ from ccsp.classify import (AFFINE, MAJORITY, NONE, SEMILATTICE,
                            classify_pair, derive_m, synthesize_uniform_ops)
 from ccsp.errors import InvalidArgumentError
 from ccsp.harness import Rng, canonical_a3
-from ccsp.indicator import enumerate_conservative_tables, table_from_assignment
+from ccsp.indicator import (Network, enumerate_conservative_tables,
+                            preserves, search_operation, table_from_assignment)
 from ccsp.model import Algebra, relation
 
 
@@ -49,39 +51,24 @@ def test_classify_pair_rejects_bad_pair():
 
 # -- independent cross-check by full table enumeration ----------------------
 
-def _preserves_table(table, arity, rels):
-    for rel in rels:
-        rows = sorted(rel.tuples)
-        for combo in itertools.product(rows, repeat=arity):
-            image = []
-            for i in range(rel.arity):
-                node = table
-                for t in combo:
-                    node = node[t[i]]
-                image.append(node)
-            if tuple(image) not in rel.tuples:
-                return False
-    return True
-
-
 def _oracle_label(lang):
     """Expected label of pair {0,1} by enumerating every conservative table."""
     binary = [table_from_assignment(2, 2, a)
               for a in enumerate_conservative_tables(2, 2)]
     ternary = [table_from_assignment(2, 3, a)
                for a in enumerate_conservative_tables(2, 3)]
-    sl = any(_preserves_table(t, 2, lang.relations) and
+    sl = any(preserves(t, lang.relations) and
              ((t[0][1] == 1 and t[1][0] == 1) or (t[0][1] == 0 and t[1][0] == 0))
              for t in binary)
     if sl:
         return SEMILATTICE
-    maj = any(_preserves_table(t, 3, lang.relations) and
+    maj = any(preserves(t, lang.relations) and
               t[0][0][1] == 0 and t[0][1][0] == 0 and t[1][0][0] == 0 and
               t[1][1][0] == 1 and t[1][0][1] == 1 and t[0][1][1] == 1
               for t in ternary)
     if maj:
         return MAJORITY
-    aff = any(_preserves_table(t, 3, lang.relations) and
+    aff = any(preserves(t, lang.relations) and
               t[0][0][1] == 1 and t[0][1][0] == 1 and t[1][0][0] == 1 and
               t[1][1][0] == 0 and t[1][0][1] == 0 and t[0][1][1] == 0
               for t in ternary)
@@ -264,12 +251,111 @@ def test_derive_m_affine_pair():
 
 
 def test_synthesized_tables_and_m_are_polymorphisms():
-    from ccsp.indicator import preserves
     for lang in (ORDER, NEQ, XOR3):
         v = classify_language(lang)
         alg = v.algebra
-        assert preserves(alg.f, lang.relations, 2)
-        assert preserves(alg.p, lang.relations, 2)
-        assert preserves(alg.g, lang.relations, 3)
-        assert preserves(alg.h, lang.relations, 3)
-        assert preserves(derive_m(alg), lang.relations, 3)
+        for table in (alg.f, alg.p, alg.g, alg.h, derive_m(alg)):
+            assert preserves(table, lang.relations)
+
+
+def test_preserves_checks_constant_row_combinations():
+    # not idempotent: f(0,0) = 1 maps the row (0,0) of EQ0 out of it
+    eq0 = [relation([(0, 0)])]
+    assert not preserves(((1, 0), (1, 1)), eq0)
+    assert preserves(((0, 0), (1, 1)), eq0)
+    assert not preserves(((0, 1), (0, 0)), NEQ.relations)
+
+
+# -- search order: the first preserving table, found by enumeration ----------
+
+def _static_order(size, arity, rels):
+    """Cells in the search's order: in most non-constant row combinations
+    first, then fewer distinct entries, then lexicographic."""
+    degree = Counter()
+    for rel in {id(r): r for r in rels if r.tuples}.values():
+        for combo in itertools.product(sorted(rel.tuples), repeat=arity):
+            if len(set(combo)) > 1:
+                degree.update({tuple(t[i] for t in combo)
+                               for i in range(rel.arity)})
+    cells = itertools.product(range(size), repeat=arity)
+    return sorted(cells, key=lambda c: (-degree[c], len(set(c)), c))
+
+
+def _first_tables(size, arity, rels, pinned):
+    """The first preserving table matching the pins in the search's cell
+    order, and the first in the reverse of that order (None when none)."""
+    order = _static_order(size, arity, rels)
+
+    def rank(cells):  # each cell's value by its position among the entries
+        return lambda t: tuple(list(dict.fromkeys(c)).index(t[c]) for c in cells)
+
+    found = [t for t in enumerate_conservative_tables(size, arity)
+             if all(t[c] == v for c, v in pinned.items())
+             and preserves(table_from_assignment(size, arity, t), rels)]
+    return (min(found, key=rank(order), default=None),
+            min(found, key=rank(order[::-1]), default=None))
+
+
+def _check_first_tables(size, arity, rels, pinned, outcomes):
+    want, reverse = _first_tables(size, arity, rels, pinned)
+    got = search_operation(size, arity, rels, pinned=pinned)
+    assert got == want, (size, arity, rels, pinned)
+    outcomes["none" if got is None else
+             "order-sensitive" if want != reverse else "found"] += 1
+
+
+def _random_relations(r, size, arities, fewest):
+    rels = []
+    for _ in range(r.randint(1, 3)):
+        pool = list(itertools.product(range(size), repeat=r.choice(arities)))
+        rels.append(relation(r.sample(pool, r.randint(fewest, min(6, len(pool))))))
+    return rels
+
+
+def test_search_returns_first_table_in_static_order():
+    rng = Rng(79)
+    outcomes = Counter()
+    triples = [c for c in itertools.product((0, 1), repeat=3) if len(set(c)) == 2]
+    for i in range(80):
+        r = rng.split("search", i)
+        size = 2 + i % 2
+        rels = _random_relations(r, size, (1, 2, 3), 1)
+        a, b = sorted(r.sample(range(size), 2))
+        for src, snk in ((a, b), (b, a), (None, None)):
+            pinned = {} if src is None else {(src, snk): snk, (snk, src): snk}
+            _check_first_tables(size, 2, rels, pinned, outcomes)
+        if size == 2:
+            for value in (lambda c: max(c, key=c.count),   # majority
+                          lambda c: min(c, key=c.count)):  # minority
+                _check_first_tables(2, 3, rels, {c: value(c) for c in triples},
+                                    outcomes)
+    assert outcomes["none"] > 20 and outcomes["found"] > 100
+    # Two cells pinned against the first argument make the others compete,
+    # so the first table found depends on the cell order now and then.
+    sensitive = Counter()
+    for i in range(300):
+        r = rng.split("order", i)
+        rels = _random_relations(r, 2, (3,), 3)
+        pinned = {c: c[-1] for c in r.sample(triples, 2)}
+        _check_first_tables(2, 3, rels, pinned, sensitive)
+    assert sensitive["order-sensitive"] >= 5, sensitive
+
+
+def test_shared_network_searches_as_fresh_ones():
+    """One network searched under a sequence of pins (it keeps its unpinned
+    fixpoint between searches) answers each as a freshly compiled one."""
+    rng = Rng(80)
+    found = Counter()
+    for i in range(40):
+        r = rng.split("shared", i)
+        size = 2 + i % 2
+        rels = _random_relations(r, size, (2, 3), 2)
+        net = Network(size, 2, rels)
+        pins = [{}]
+        for a, b in itertools.permutations(range(size), 2):
+            pins.append({(a, b): b, (b, a): b})
+        for pinned in r.sample(pins, len(pins)) + [{}]:
+            got = search_operation(size, 2, rels, pinned=pinned, network=net)
+            assert got == search_operation(size, 2, rels, pinned=pinned), rels
+            found[got is None] += 1
+    assert found[True] > 20 and found[False] > 20, found

@@ -229,6 +229,23 @@ def test_cli_solve_refuses_np_complete_language(tmp_path):
     assert main(["solve", str(inst), "--force-oracle"]) == 0
 
 
+def test_cli_solve_refuses_embedded_np_complete_language(tmp_path, capsys):
+    one_in_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "algebra": {"universe": [0, 1], "relations": [one_in_3]},
+        "variables": ["x", "y", "z", "w"],
+        "domains": {v: [0, 1] for v in "xyzw"},
+        "constraints": [{"scope": ["x", "y", "z"], "tuples": one_in_3},
+                        {"scope": ["y", "z", "w"], "tuples": one_in_3}]}))
+    assert main(["solve", str(inst), "--json"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"status": "np-complete", "witness_pair": [0, 1]}
+    assert main(["solve", str(inst), "--force-oracle", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)  # y = 1, the rest 0
+    assert out["status"] == "sat" and out["oracle_used"]
+
+
 def test_cli_crash_exits_internal(monkeypatch, capsys):
     for exc in (RecursionError("maximum recursion depth exceeded"),
                 ValueError("two\nlines")):
