@@ -30,7 +30,7 @@ from .reductions import (RetractionOutcome, arc_free_elements,
                          idempotent_power, maps_from_solution,
                          multiplied_instance, retract_instance,
                          retraction_step, split_by_strands)
-from .solver import (PipelineResult, SolveConfig, SolveTrace,
+from .solver import (PipelineResult, SolveTrace,
                      classify_and_solve, lev, solve, solve_semilattice_free)
 from .structure import (LAWS, LawResult, as_components, check_law, find_path,
                         is_linked, is_semilattice_free, strands_of_instance,

@@ -10,6 +10,7 @@ tractable languages we synthesize one quadruple of operation tables
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -181,53 +182,70 @@ def classify_pair(lang: ConstraintLanguage, a: int, b: int,
     return PairLabel(NONE)
 
 
-def _build_f(size: int, graph: EdgeLabeledGraph,
-             orientation: dict[tuple[int, int], tuple[int, int]]):
-    f = [[x for _ in range(size)] for x in range(size)]
-    for (a, b), (src, snk) in orientation.items():
-        f[src][snk] = snk
-        f[snk][src] = snk
-    for (a, b) in graph.pairs():
-        if graph.kind(a, b) != SEMILATTICE and (a, b) not in orientation:
-            f[a][b] = a
-            f[b][a] = b
-    return tuple(tuple(row) for row in f)
+def _pair_rule(op: str, kind: str, f, cell: tuple[int, ...]) -> int:
+    """The value `op` ("p", "g" or "h") takes on a two-valued cell of a pair
+    labeled `kind`, given f.
+
+    Semilattice pairs fold the cell with f: p(x,y) = f(x,y) and g = h =
+    f(f(x,y),z).  On majority pairs p is the second projection, g majority
+    and h the first projection; on affine pairs p and g are the first
+    projection and h minority.
+    """
+    if kind == SEMILATTICE:
+        value = cell[0]
+        for v in cell[1:]:
+            value = f[value][v]
+        return value
+    if kind == MAJORITY:
+        if op == "g":
+            return _majority_value(*cell)
+        return cell[1] if op == "p" else cell[0]
+    if kind == AFFINE:
+        return _minority_value(*cell) if op == "h" else cell[0]
+    raise InvalidArgumentError(f"no {op} rule on an unlabeled pair")
 
 
-def _build_p(size: int, graph: EdgeLabeledGraph, f):
-    p = [[x for _ in range(size)] for x in range(size)]
-    for (a, b) in graph.pairs():
-        kind = graph.kind(a, b)
-        if kind == SEMILATTICE:
-            p[a][b] = f[a][b]
-            p[b][a] = f[b][a]
-        elif kind == MAJORITY:
-            p[a][b] = b
-            p[b][a] = a
-        elif kind == AFFINE:
-            p[a][b] = a
-            p[b][a] = b
-        else:
-            raise InvalidArgumentError("cannot build p over an unlabeled pair")
-    return tuple(tuple(row) for row in p)
-
-
-def _ternary_pins(graph: EdgeLabeledGraph, f, role: str) -> dict:
-    """Pinned pair-subset cells for g (role='g') or h (role='h')."""
+def _pair_pins(graph: EdgeLabeledGraph, f, op: str) -> dict:
+    """`_pair_rule` on every two-valued cell of every pair of the graph."""
+    arity = 2 if op == "p" else 3
     pins = {}
     for (a, b) in graph.pairs():
         kind = graph.kind(a, b)
-        for cell in _pair_cells(a, b, 3):
-            x, y, z = cell
-            if kind == SEMILATTICE:
-                pins[cell] = f[f[x][y]][z]
-            elif kind == MAJORITY:
-                pins[cell] = _majority_value(x, y, z) if role == "g" else x
-            elif kind == AFFINE:
-                pins[cell] = x if role == "g" else _minority_value(x, y, z)
-            else:
-                raise InvalidArgumentError("unlabeled pair in synthesis")
+        for cell in _pair_cells(a, b, arity):
+            pins[cell] = _pair_rule(op, kind, f, cell)
     return pins
+
+
+def _first_argument_table(size: int, arity: int, pins: dict):
+    """The table taking the pinned values, and its first argument elsewhere."""
+    return table_from_assignment(size, arity, {
+        cell: pins.get(cell, cell[0])
+        for cell in itertools.product(range(size), repeat=arity)})
+
+
+def _build_f(size: int, orientation):
+    """f joins toward the sink of each oriented (source, sink) pair and is
+    the first projection elsewhere."""
+    pins = {}
+    for src, snk in orientation:
+        pins[(src, snk)] = pins[(snk, src)] = snk
+    return _first_argument_table(size, 2, pins)
+
+
+def _build_p(size: int, graph: EdgeLabeledGraph, f):
+    return _first_argument_table(size, 2, _pair_pins(graph, f, "p"))
+
+
+def canonical_algebra(graph: EdgeLabeledGraph) -> Algebra:
+    """Tables determined by the labels alone: f joins along the labels'
+    semilattice orientations, p, g and h follow `_pair_rule`, and every
+    table takes its first argument elsewhere."""
+    n = graph.size
+    f = _build_f(n, [graph.label(a, b).orientation for (a, b) in graph.pairs()
+                     if graph.kind(a, b) == SEMILATTICE])
+    g, h = (_first_argument_table(n, 3, _pair_pins(graph, f, op))
+            for op in ("g", "h"))
+    return Algebra(n, f, _build_p(n, graph, f), g, h)
 
 
 def synthesize_uniform_ops(lang: ConstraintLanguage, graph: EdgeLabeledGraph,
@@ -253,8 +271,7 @@ def synthesize_uniform_ops(lang: ConstraintLanguage, graph: EdgeLabeledGraph,
         choice_lists.append(dirs)
 
     for combo in itertools.product(*choice_lists):
-        orientation = dict(zip(sl_pairs, combo))
-        f = _build_f(size, graph, orientation)
+        f = _build_f(size, combo)
         if not preserves(f, rels):
             continue
         p = _build_p(size, graph, f)
@@ -262,11 +279,11 @@ def synthesize_uniform_ops(lang: ConstraintLanguage, graph: EdgeLabeledGraph,
             continue
         ternary = _network(lang, 3, nets)
         g_cells = search_operation(size, 3, rels, network=ternary,
-                                   pinned=_ternary_pins(graph, f, "g"))
+                                   pinned=_pair_pins(graph, f, "g"))
         if g_cells is None:
             continue
         h_cells = search_operation(size, 3, rels, network=ternary,
-                                   pinned=_ternary_pins(graph, f, "h"))
+                                   pinned=_pair_pins(graph, f, "h"))
         if h_cells is None:
             continue
         g = table_from_assignment(size, 3, g_cells)
@@ -315,29 +332,13 @@ def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph,
         else:
             if f[a][b] != a or f[b][a] != b:
                 out.append(f"f must be first projection on {kind} pair ({a},{b})")
-        if kind == SEMILATTICE:
-            if p[a][b] != f[a][b] or p[b][a] != f[b][a]:
-                out.append(f"p must equal f on semilattice pair ({a},{b})")
-        elif kind == MAJORITY:
-            if p[a][b] != b or p[b][a] != a:
-                out.append(f"p must be second projection on majority pair ({a},{b})")
-        else:
-            if p[a][b] != a or p[b][a] != b:
-                out.append(f"p must be first projection on affine pair ({a},{b})")
-        for cell in _pair_cells(a, b, 3):
-            x, y, z = cell
-            if kind == SEMILATTICE:
-                want_g = want_h = f[f[x][y]][z]
-            elif kind == MAJORITY:
-                want_g, want_h = _majority_value(x, y, z), x
-            else:
-                want_g, want_h = x, _minority_value(x, y, z)
-            if g[x][y][z] != want_g:
-                out.append(f"g({x},{y},{z})={g[x][y][z]} should be {want_g} "
-                           f"on {kind} pair ({a},{b})")
-            if h[x][y][z] != want_h:
-                out.append(f"h({x},{y},{z})={h[x][y][z]} should be {want_h} "
-                           f"on {kind} pair ({a},{b})")
+        for name, table, arity in (("p", p, 2), ("g", g, 3), ("h", h, 3)):
+            for cell in _pair_cells(a, b, arity):
+                got = functools.reduce(lambda node, x: node[x], cell, table)
+                want = _pair_rule(name, kind, f, cell)
+                if got != want:
+                    out.append(f"{name}{cell}={got} should be {want} "
+                               f"on {kind} pair ({a},{b})")
     for name, tab in alg.all_ops().items():
         if not preserves(tab, relations):
             out.append(f"{name} is not a polymorphism of the language")

@@ -18,10 +18,10 @@ from .errors import (InternalInvariantError, InvalidArgumentError,
                      NPCompleteLanguageError, OracleBudgetError)
 from .harness import (GeneratorConfig, brute_force_solve, gen_algebra,
                       gen_instance, gen_planted_instance, run_law_suite)
-from .jsonio import (algebra_from_obj, algebra_to_obj, dump, instance_from_obj,
-                     instance_to_obj, language_from_obj, result_to_obj)
+from .jsonio import (algebra_to_obj, dump, instance_from_obj, instance_to_obj,
+                     language_from_obj, load_algebra, result_to_obj)
 from .model import Instance
-from .solver import PipelineResult, SolveConfig, solve
+from .solver import PipelineResult, solve
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -52,30 +52,25 @@ def cmd_classify(args) -> int:
     return EXIT_NP_COMPLETE
 
 
-def _resolve_algebra(args, inst, alg, graph):
-    if args.algebra:
-        alg, graph = algebra_from_obj(Path(args.algebra))
-    if alg is None or graph is None:
-        raise InvalidArgumentError(
-            "no algebra available: pass --algebra or embed one in the instance")
-    return Instance(inst.variables, inst.domains, inst.constraints, alg), alg, graph
+def _read_instance(path: str) -> tuple[Instance, object]:
+    """The instance in a file, and its raw `algebra` reference (or None),
+    left unresolved."""
+    raw = json.loads(Path(path).read_text())
+    ref = raw.pop("algebra", None)
+    inst, _, _ = instance_from_obj(raw)
+    return inst, ref
 
 
 def cmd_solve(args) -> int:
-    raw = json.loads(Path(args.instance).read_text())
-    algebra_ref = raw.pop("algebra", None)
-    inst, _, _ = instance_from_obj(raw)
+    inst, ref = _read_instance(args.instance)
+    base_dir = Path(args.instance).parent
+    if args.algebra:
+        ref, base_dir = args.algebra, None
+    if ref is None:
+        raise InvalidArgumentError(
+            "no algebra available: pass --algebra or embed one in the instance")
     try:
-        alg = graph = None
-        if algebra_ref is not None and not args.algebra:
-            if isinstance(algebra_ref, str):
-                path = Path(algebra_ref)
-                if not path.is_absolute():
-                    path = Path(args.instance).parent / path
-                alg, graph = algebra_from_obj(path)
-            else:
-                alg, graph = algebra_from_obj(algebra_ref)
-        inst, alg, graph = _resolve_algebra(args, inst, alg, graph)
+        alg, graph = load_algebra(ref, base_dir)
     except NPCompleteLanguageError as exc:
         witness = exc.witness_pair
         if args.force_oracle:
@@ -90,8 +85,8 @@ def cmd_solve(args) -> int:
               args.json, [f"np-complete language (witness pair {witness}); "
                           "refusing to solve (pass --force-oracle to override)"])
         return EXIT_NP_COMPLETE
-    config = SolveConfig(fast_probe=args.fast_probe)
-    result, trace = solve(inst, alg, graph, config)
+    inst = Instance(inst.variables, inst.domains, inst.constraints, alg)
+    result, trace = solve(inst, alg, graph)
     pipeline = PipelineResult(result.status, result.assignment,
                               trace=trace.as_dict())
     obj = result_to_obj(pipeline)
@@ -104,8 +99,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst, _alg, _graph = instance_from_obj(Path(args.instance),
-                                           base_dir=Path(args.instance).parent)
+    inst, _ref = _read_instance(args.instance)
     res = brute_force_solve(inst)
     obj = result_to_obj(PipelineResult(res.status, res.assignment,
                                        oracle_used=True))
@@ -210,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "instance's own reference")
     p.add_argument("--json", action="store_true")
     p.add_argument("--force-oracle", action="store_true")
-    p.add_argument("--fast-probe", action="store_true",
-                   help="probe the plain multiplied instance before forcing")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force verdict for an instance file")
@@ -255,7 +247,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidArgumentError, OracleBudgetError, FileNotFoundError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InternalInvariantError as exc:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .classify import (AFFINE, MAJORITY, SEMILATTICE, EdgeLabeledGraph,
-                       PairLabel, _majority_value, _minority_value,
-                       semilattice_label)
+                       PairLabel, canonical_algebra, semilattice_label)
 from .errors import InvalidArgumentError, OracleBudgetError
 from .model import (UNSAT, Algebra, Constraint, Instance, Relation,
                     close_under_ops, relation, sat, SolveResult)
@@ -112,60 +111,7 @@ def brute_force_solutions(inst: Instance,
 
 
 # ---------------------------------------------------------------------------
-# canonical tables from a labeled graph
-
-def canonical_algebra(graph: EdgeLabeledGraph) -> Algebra:
-    """Tables determined by the labels: f joins along semilattice arcs and
-    projects elsewhere; p follows the pair rules; g and h take their pair
-    behavior from the labels and the first argument on distinct triples."""
-    n = graph.size
-    f = [[x for _ in range(n)] for x in range(n)]
-    p = [[x for _ in range(n)] for x in range(n)]
-    for (a, b) in graph.pairs():
-        kind = graph.kind(a, b)
-        if kind == SEMILATTICE:
-            src, snk = graph.label(a, b).orientation
-            f[src][snk] = f[snk][src] = snk
-            p[src][snk] = p[snk][src] = snk
-        elif kind == MAJORITY:
-            f[a][b], f[b][a] = a, b
-            p[a][b], p[b][a] = b, a
-        elif kind == AFFINE:
-            f[a][b], f[b][a] = a, b
-            p[a][b], p[b][a] = a, b
-        else:
-            raise InvalidArgumentError("canonical tables need a full labeling")
-
-    def pair_kind(x, y):
-        return graph.kind(x, y)
-
-    g = [[[None] * n for _ in range(n)] for _ in range(n)]
-    h = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                distinct = {x, y, z}
-                if len(distinct) == 1:
-                    g[x][y][z] = h[x][y][z] = x
-                elif len(distinct) == 3:
-                    g[x][y][z] = h[x][y][z] = x
-                else:
-                    a, b = sorted(distinct)
-                    kind = pair_kind(a, b)
-                    if kind == SEMILATTICE:
-                        g[x][y][z] = h[x][y][z] = f[f[x][y]][z]
-                    elif kind == MAJORITY:
-                        g[x][y][z] = _majority_value(x, y, z)
-                        h[x][y][z] = x
-                    elif kind == AFFINE:
-                        g[x][y][z] = x
-                        h[x][y][z] = _minority_value(x, y, z)
-                    else:
-                        raise InvalidArgumentError("unlabeled pair")
-    freeze2 = lambda t: tuple(tuple(r) for r in t)
-    freeze3 = lambda t: tuple(tuple(tuple(r) for r in pl) for pl in t)
-    return Algebra(n, freeze2(f), freeze2(p), freeze3(g), freeze3(h))
-
+# the canonical 3-element algebra
 
 def canonical_a3() -> tuple[Algebra, EdgeLabeledGraph]:
     """The fixed 3-element test algebra: 0->1 semilattice, {1,2} affine,

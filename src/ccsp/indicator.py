@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidArgumentError
-from .model import Relation, table_arity
+from .model import Relation, preservation_witness
 
 Cell = tuple[int, ...]
 
@@ -268,11 +268,11 @@ def search_operation(size: int, arity: int, relations: Sequence[Relation],
 
 def table_from_assignment(size: int, arity: int, assignment: dict[Cell, int]):
     """Materialize a nested-tuple table from a full cell assignment."""
-    def build(prefix: tuple[int, ...]):
-        if len(prefix) == arity:
-            return assignment[prefix]
-        return tuple(build(prefix + (v,)) for v in range(size))
-    return build(())
+    nested = [assignment[cell]
+              for cell in itertools.product(range(size), repeat=arity)]
+    for _ in range(arity):
+        nested = [tuple(nested[i:i + size]) for i in range(0, len(nested), size)]
+    return nested[0]
 
 
 def enumerate_conservative_tables(size: int, arity: int) -> Iterable[dict[Cell, int]]:
@@ -283,23 +283,6 @@ def enumerate_conservative_tables(size: int, arity: int) -> Iterable[dict[Cell, 
 
 
 def preserves(table, relations: Sequence[Relation]) -> bool:
-    """True if the nested-tuple table maps every tuple of rows of each
-    relation, componentwise, into that relation.
-
-    The arity is the table's nesting depth; constant row combinations are
-    checked too, so the table need not be idempotent.
-    """
-    arity = table_arity(table)
-    flat = [table]
-    for _ in range(arity):
-        flat = [x for row in flat for x in row]
-    weights = [len(table) ** (arity - 1 - j) for j in range(arity)]
-    for rel in relations:
-        # row t as the j-th argument adds t[i] * weights[j] to the flat
-        # index of the cell read for position i
-        scaled = [[tuple(v * w for v in t) for t in rel.tuples] for w in weights]
-        for combo in itertools.product(*scaled):
-            image = tuple(map(flat.__getitem__, map(sum, zip(*combo))))
-            if image not in rel.tuples:
-                return False
-    return True
+    """True if the table maps every combination of rows of each relation,
+    componentwise, into that relation (see `model.preservation_witness`)."""
+    return preservation_witness(table, relations) is None

@@ -31,6 +31,13 @@ def _as_obj(source: JsonLike) -> dict:
     return json.loads(text)
 
 
+def _field(obj: dict, key, what: str):
+    """obj[key], or an InvalidArgumentError naming the missing key."""
+    if key not in obj:
+        raise InvalidArgumentError(f"{what} is missing {key!r}")
+    return obj[key]
+
+
 def var_str(v) -> str:
     """Serialized variable name; multiplied-instance pairs become 'v@b'."""
     if isinstance(v, tuple) and len(v) == 2:
@@ -52,8 +59,8 @@ def graph_to_obj(graph: EdgeLabeledGraph) -> list:
 def graph_from_obj(size: int, labels: list) -> EdgeLabeledGraph:
     out = {}
     for entry in labels:
-        a, b = entry["pair"]
-        kind = entry["label"]
+        a, b = _field(entry, "pair", "label entry")
+        kind = _field(entry, "label", "label entry")
         if kind == SEMILATTICE:
             direction = entry.get("direction")
             if direction is None:
@@ -134,29 +141,33 @@ def instance_to_obj(inst: Instance,
     return obj
 
 
+def load_algebra(ref: JsonLike, base_dir: Optional[Path] = None
+                 ) -> tuple[Algebra, EdgeLabeledGraph]:
+    """Resolve an algebra reference: an inline object or a file path, a
+    relative path taken from `base_dir` when given."""
+    if isinstance(ref, str) and base_dir is not None:
+        ref = base_dir / ref  # an absolute ref stays as it is
+    return algebra_from_obj(ref)
+
+
 def instance_from_obj(source: JsonLike, base_dir: Optional[Path] = None
                       ) -> tuple[Instance, Optional[Algebra],
                                  Optional[EdgeLabeledGraph]]:
     obj = _as_obj(source)
     alg = graph = None
-    ref = obj.get("algebra")
-    if ref is not None:
-        if isinstance(ref, str):
-            path = Path(ref)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            alg, graph = algebra_from_obj(path)
-        else:
-            alg, graph = algebra_from_obj(ref)
-    variables = list(obj["variables"])
-    domains = {v: frozenset(obj["domains"][v]) for v in variables}
+    if obj.get("algebra") is not None:
+        alg, graph = load_algebra(obj["algebra"], base_dir)
+    variables = list(_field(obj, "variables", "instance"))
+    raw_domains = _field(obj, "domains", "instance")
+    domains = {v: frozenset(_field(raw_domains, v, "domains"))
+               for v in variables}
     cons = []
     for c in obj.get("constraints", []):
-        scope = tuple(c["scope"])
+        scope = tuple(_field(c, "scope", "constraint"))
         for v in scope:
             if v not in domains:
                 raise InvalidArgumentError(f"scope names unknown variable {v!r}")
-        tuples = [tuple(t) for t in c["tuples"]]
+        tuples = [tuple(t) for t in _field(c, "tuples", "constraint")]
         sig = [domains[v] for v in scope]
         cons.append(Constraint(scope, relation(tuples, signature=sig)))
     return Instance(variables, domains, cons, alg), alg, graph

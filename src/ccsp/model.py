@@ -6,6 +6,7 @@ treated as immutable after construction; every operation is a pure function.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -248,35 +249,45 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
     )
 
 
+def preservation_witness(table, relations: Sequence[Relation]
+                         ) -> Optional[tuple[ValueTuple, ...]]:
+    """The first combination of rows of a relation that the nested-tuple
+    table maps, componentwise, outside that relation; None if there is none.
+
+    The arity is the table's nesting depth; constant row combinations are
+    checked too, so the table need not be idempotent.
+    """
+    arity = table_arity(table)
+    flat = [table]
+    for _ in range(arity):
+        flat = [x for row in flat for x in row]
+    weights = [len(table) ** (arity - 1 - j) for j in range(arity)]
+    for rel in relations:
+        # row t as the j-th argument adds t[i] * weights[j] to the flat
+        # index of the cell read for position i
+        scaled = [[tuple(v * w for v in t) for t in rel.tuples] for w in weights]
+        for combo in itertools.product(*scaled):
+            image = tuple(map(flat.__getitem__, map(sum, zip(*combo))))
+            if image not in rel.tuples:
+                return tuple(tuple(v // w for v in t)
+                             for t, w in zip(combo, weights))
+    return None
+
+
 def is_closed_under_ops(rel: Relation, alg: Algebra) -> Optional[tuple]:
     """Return None if closed; else a witness (op_name, arg_tuples, image)."""
-    tups = rel.sorted_tuples()
-    if not tups:
-        return None
-    rows = np.asarray(tups, dtype=np.int64)
-    codes = set(_encode(rows, alg.size).tolist())
-    powers = alg.size ** np.arange(rel.arity, dtype=np.int64)
-
-    for name, tab in alg.binary_ops().items():
-        imgs = _np_table(tab)[rows[:, None, :], rows[None, :, :]]
-        bad = ~np.isin(imgs.reshape(-1, rel.arity) @ powers, list(codes))
-        if bad.any():
-            at = int(np.argmax(bad))
-            i, j = divmod(at, len(tups))
-            return (name, (tups[i], tups[j]),
-                    apply_componentwise(tab, (tups[i], tups[j])))
-    n = len(tups)
-    for name, tab in alg.ternary_ops().items():
-        arr = _np_table(tab)
-        for i in range(n):
-            imgs = arr[rows[i, None, None, :], rows[:, None, :], rows[None, :, :]]
-            bad = ~np.isin(imgs.reshape(-1, rel.arity) @ powers, list(codes))
-            if bad.any():
-                at = int(np.argmax(bad))
-                j, k = divmod(at, n)
-                return (name, (tups[i], tups[j], tups[k]),
-                        apply_componentwise(tab, (tups[i], tups[j], tups[k])))
+    for name, tab in alg.all_ops().items():
+        rows = preservation_witness(tab, (rel,))
+        if rows is not None:
+            return name, rows, apply_componentwise(tab, rows)
     return None
+
+
+def restrict_relation(rel: Relation, domains: Sequence[frozenset]) -> Relation:
+    """The tuples of `rel` inside the per-position domains, signed with them."""
+    return relation((t for t in rel.tuples
+                     if all(v in d for v, d in zip(t, domains))),
+                    signature=domains)
 
 
 class Constraint(NamedTuple):
@@ -298,12 +309,19 @@ class Instance:
         self.constraints = tuple(cons)
         self.algebra = algebra
 
-    def with_domains(self, domains: Mapping) -> "Instance":
-        return Instance(self.variables, domains, self.constraints, self.algebra)
-
     def __repr__(self):
         return (f"Instance({len(self.variables)} vars, "
                 f"{len(self.constraints)} constraints)")
+
+
+def restrict_instance(inst: Instance, domains: Mapping) -> Optional[Instance]:
+    """The instance over the given domains, every constraint restricted to
+    them (see `restrict_relation`); None if a domain is empty."""
+    if not all(domains[v] for v in inst.variables):
+        return None
+    cons = [Constraint(scope, restrict_relation(rel, [domains[v] for v in scope]))
+            for scope, rel in inst.constraints]
+    return Instance(inst.variables, domains, cons, inst.algebra)
 
 
 def summ(inst: Instance) -> int:

@@ -20,30 +20,20 @@ from typing import Callable, Optional, Sequence
 from .classify import EdgeLabeledGraph
 from .errors import InternalInvariantError, InvalidArgumentError
 from .minimality import MinimalityTables
-from .model import (Algebra, Constraint, Instance, Relation, SolveResult,
-                    close_under_ops, project, relation, summ,
-                    verify_assignment)
+from .model import (Algebra, Constraint, Instance, SolveResult,
+                    close_under_ops, project, relation, restrict_instance,
+                    restrict_relation, summ, verify_assignment)
 from .structure import as_components, strands_of_instance
 
 ConsistentCollection = dict  # variable -> frozenset (an as-component)
 
 
-def _constraint_ok(scope: tuple, rel: Relation, chosen: dict) -> bool:
+def _constraint_ok(scope: tuple, tuples, chosen: dict) -> bool:
     positions = [i for i, v in enumerate(scope) if v in chosen]
     if not positions:
         return True
-    for t in rel.tuples:
-        if all(t[i] in chosen[scope[i]] for i in positions):
-            return True
-    return False
-
-
-def _table_ok(key: tuple, tuples, chosen: dict) -> bool:
-    positions = [i for i, v in enumerate(key) if v in chosen]
-    if not positions:
-        return True
     for t in tuples:
-        if all(t[i] in chosen[key[i]] for i in positions):
+        if all(t[i] in chosen[scope[i]] for i in positions):
             return True
     return False
 
@@ -56,23 +46,21 @@ def find_consistent_collection(inst: Instance, graph: EdgeLabeledGraph,
     On a 3-minimal instance some extension always exists; failure to extend
     therefore signals an upstream bug and raises loudly.
     """
-    by_var_cons: dict = {v: [] for v in inst.variables}
+    by_var: dict = {v: [] for v in inst.variables}
     for scope, rel in inst.constraints:
         for v in set(scope):
-            by_var_cons[v].append((scope, rel))
-    by_var_tabs: dict = {v: [] for v in inst.variables}
+            by_var[v].append((scope, rel.tuples))
     if tables is not None:
         for key, tups in tables.nontrivial_items():
             for v in key:
-                by_var_tabs[v].append((key, tups))
+                by_var[v].append((key, tups))
 
     coll: ConsistentCollection = {}
     for v in inst.variables:
         found = None
         for comp in as_components(inst.domains[v], graph):
             coll[v] = comp
-            if all(_constraint_ok(s, r, coll) for s, r in by_var_cons[v]) and \
-               all(_table_ok(k, t, coll) for k, t in by_var_tabs[v]):
+            if all(_constraint_ok(k, t, coll) for k, t in by_var[v]):
                 found = comp
                 break
             del coll[v]
@@ -96,16 +84,13 @@ def split_by_strands(inst: Instance, coll: ConsistentCollection) -> list[Instanc
             if not positions:
                 continue
             sub_scope = tuple(scope[i] for i in positions)
-            proj = project(rel, positions)
-            keep = frozenset(t for t in proj.tuples
-                             if all(t[k] in coll[sub_scope[k]]
-                                    for k in range(len(t))))
-            key = (sub_scope, keep)
+            sub = restrict_relation(project(rel, positions),
+                                    [coll[v] for v in sub_scope])
+            key = (sub_scope, sub.tuples)
             if key in seen:
                 continue
             seen.add(key)
-            cons.append(Constraint(sub_scope, relation(
-                keep, signature=[coll[v] for v in sub_scope])))
+            cons.append(Constraint(sub_scope, sub))
         out.append(Instance(svars, doms, cons, inst.algebra))
     return out
 
@@ -130,20 +115,11 @@ def combine_solutions(inst: Instance, coll: ConsistentCollection,
 def exclude_components(inst: Instance, coll: ConsistentCollection,
                        strand) -> Optional[Instance]:
     """Drop the chosen components on a failed strand; None if a domain dies."""
-    new_doms = {}
-    for v in inst.variables:
-        dom = inst.domains[v] - coll[v] if v in strand else inst.domains[v]
-        if not dom:
-            return None
-        new_doms[v] = dom
-    cons = []
-    for scope, rel in inst.constraints:
-        keep = frozenset(t for t in rel.tuples
-                         if all(t[i] in new_doms[scope[i]]
-                                for i in range(len(t))))
-        cons.append(Constraint(scope, relation(
-            keep, signature=[new_doms[v] for v in scope])))
-    smaller = Instance(inst.variables, new_doms, cons, inst.algebra)
+    smaller = restrict_instance(inst, {
+        v: inst.domains[v] - coll[v] if v in strand else inst.domains[v]
+        for v in inst.variables})
+    if smaller is None:
+        return None
     if summ(smaller) >= summ(inst):
         raise InternalInvariantError("component exclusion did not shrink summ")
     return smaller
@@ -162,20 +138,8 @@ def arc_free_elements(domain, graph: EdgeLabeledGraph) -> frozenset:
 def arc_free_restriction(inst: Instance,
                          graph: EdgeLabeledGraph) -> Optional[Instance]:
     """Restrict every domain to its arc-free elements; None if one empties."""
-    new_doms = {}
-    for v in inst.variables:
-        b = arc_free_elements(inst.domains[v], graph)
-        if not b:
-            return None
-        new_doms[v] = b
-    cons = []
-    for scope, rel in inst.constraints:
-        keep = frozenset(t for t in rel.tuples
-                         if all(t[i] in new_doms[scope[i]]
-                                for i in range(len(t))))
-        cons.append(Constraint(scope, relation(
-            keep, signature=[new_doms[v] for v in scope])))
-    return Instance(inst.variables, new_doms, cons, inst.algebra)
+    return restrict_instance(inst, {v: arc_free_elements(inst.domains[v], graph)
+                                    for v in inst.variables})
 
 
 def multiplied_instance(inst: Instance, alg: Algebra,
@@ -297,14 +261,14 @@ class RetractionOutcome:
 
 
 def retraction_step(inst: Instance, graph: EdgeLabeledGraph, alg: Algebra,
-                    solve_fn: Callable[[Instance, str], SolveResult],
-                    fast_probe: bool = False) -> RetractionOutcome:
+                    solve_fn: Callable[[Instance, str], SolveResult]
+                    ) -> RetractionOutcome:
     """One round of the multiplied-instance reduction.
 
     First solve the arc-free restriction; its solutions solve the instance
     directly.  Otherwise look for consistent non-permutational maps through
-    forced multiplied instances (optionally probing the plain one first)
-    and return the retraction material, or conclude unsatisfiability.
+    forced multiplied instances and return the retraction material, or
+    conclude unsatisfiability.
     """
     restricted = arc_free_restriction(inst, graph)
     if restricted is not None:
@@ -314,13 +278,6 @@ def retraction_step(inst: Instance, graph: EdgeLabeledGraph, alg: Algebra,
                 raise InternalInvariantError(
                     "arc-free solution fails the original instance")
             return RetractionOutcome("solved", assignment=res.assignment)
-
-    if fast_probe:
-        probe = solve_fn(multiplied_instance(inst, alg), "multiplied-probe")
-        if probe.is_sat:
-            maps = maps_from_solution(inst, probe.assignment)
-            if not is_permutational(maps):
-                return RetractionOutcome("retract", maps=idempotent_power(maps))
 
     for w in inst.variables:
         b_free = arc_free_elements(inst.domains[w], graph)

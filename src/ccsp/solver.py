@@ -33,18 +33,12 @@ from .errors import InternalInvariantError, InvalidArgumentError
 from .maltsev import solve_with_maltsev
 from .minimality import (MinimalityTables, Propagator,
                          establish_3_minimality)
-from .model import (UNSAT, Algebra, Instance, Relation, SolveResult, sat,
-                    summ, verify_assignment)
+from .model import (UNSAT, Algebra, Instance, Relation, SolveResult,
+                    restrict_relation, sat, summ, verify_assignment)
 from .reductions import (combine_solutions, exclude_components,
                          find_consistent_collection, retract_instance,
                          retraction_step, split_by_strands)
 from .structure import as_components, is_semilattice_free, strands_of_instance
-
-
-@dataclass
-class SolveConfig:
-    fast_probe: bool = False          # probe the plain multiplied instance
-    verify: bool = True
 
 
 @dataclass
@@ -110,14 +104,7 @@ def _solve_majority(engine: Propagator) -> SolveResult:
     return sat(_assignment_from_domains(engine))
 
 
-def _solve_affine(inst: Instance, graph: EdgeLabeledGraph,
-                  alg: Algebra) -> SolveResult:
-    m = derive_m(alg)
-    for v in inst.variables:
-        bad = gmm_violations(m, inst.domains[v], graph)
-        if bad:
-            raise InternalInvariantError(
-                f"derived operation is not Maltsev on domain of {v!r}: {bad[0]}")
+def _solve_affine(inst: Instance, m) -> SolveResult:
     order = {v: i for i, v in enumerate(inst.variables)}
     domains = [sorted(inst.domains[v]) for v in inst.variables]
     constraints = []
@@ -157,7 +144,6 @@ def _solve_mixed_backtracking(engine: Propagator) -> SolveResult:
 
 def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
                            alg: Algebra,
-                           config: Optional[SolveConfig] = None,
                            tables: Optional[MinimalityTables] = None
                            ) -> SolveResult:
     """Base solver: majority, affine, or mixed majority/affine domains.
@@ -166,7 +152,6 @@ def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
     returned together with `inst`; the base solvers then start from that
     fixpoint.  Without them the fixpoint is established here first.
     """
-    config = config or SolveConfig()
     if not is_semilattice_free(inst, graph):
         raise InvalidArgumentError("instance is not semilattice-free")
     m = derive_m(alg)
@@ -185,10 +170,10 @@ def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
     if kinds <= {MAJORITY}:
         res = _solve_majority(Propagator(pruned, tables))
     elif kinds <= {AFFINE}:
-        res = _solve_affine(pruned, graph, alg)
+        res = _solve_affine(pruned, m)
     else:
         res = _solve_mixed_backtracking(Propagator(pruned, tables))
-    if res.is_sat and config.verify:
+    if res.is_sat:
         bad = verify_assignment(inst, res.assignment)
         if bad:
             raise InternalInvariantError(
@@ -196,11 +181,9 @@ def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
     return res
 
 
-def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph,
-          config: Optional[SolveConfig] = None
+def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
           ) -> tuple[SolveResult, SolveTrace]:
     """Full recursive solver; returns the verdict and a recursion trace."""
-    config = config or SolveConfig()
     trace = SolveTrace()
 
     def measure(i: Instance) -> tuple[int, int]:
@@ -233,8 +216,7 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph,
 
             if is_semilattice_free(pruned, graph):
                 trace.bump("sfree")
-                return solve_semilattice_free(pruned, graph, alg, config,
-                                              tables)
+                return solve_semilattice_free(pruned, graph, alg, tables)
 
             here = measure(pruned)
             has_proper = any(
@@ -274,8 +256,7 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph,
                 check_lev(sub, parent_lev, kind)
                 return inner(sub, depth + 1)
 
-            outcome = retraction_step(pruned, graph, alg, sub_solve,
-                                      fast_probe=config.fast_probe)
+            outcome = retraction_step(pruned, graph, alg, sub_solve)
             if outcome.kind == "solved":
                 return sat(outcome.assignment)
             if outcome.kind == "no-solution":
@@ -286,7 +267,7 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph,
             cur = nxt
 
     result = inner(inst, 0)
-    if result.is_sat and config.verify:
+    if result.is_sat:
         bad = verify_assignment(inst, result.assignment)
         if bad:
             raise InternalInvariantError("solver returned a non-solution")
@@ -309,16 +290,13 @@ def _relation_drawn_from(rel: Relation, lang: ConstraintLanguage,
     for cand in lang.relations:
         if cand.arity != rel.arity:
             continue
-        restricted = {t for t in cand.tuples
-                      if all(t[i] in doms[i] for i in range(rel.arity))}
-        if restricted == set(rel.tuples):
+        if restrict_relation(cand, doms).tuples == rel.tuples:
             return True
     return False
 
 
 def classify_and_solve(lang: ConstraintLanguage, inst: Instance,
-                       force_oracle: bool = False,
-                       config: Optional[SolveConfig] = None) -> PipelineResult:
+                       force_oracle: bool = False) -> PipelineResult:
     """Classify the language, then either refuse (NP-complete) or solve.
 
     With `force_oracle`, an NP-complete language is still solved by the
@@ -341,5 +319,5 @@ def classify_and_solve(lang: ConstraintLanguage, inst: Instance,
                               oracle_used=True)
     attached = Instance(inst.variables, inst.domains, inst.constraints,
                         verdict.algebra)
-    res, trace = solve(attached, verdict.algebra, verdict.graph, config)
+    res, trace = solve(attached, verdict.algebra, verdict.graph)
     return PipelineResult(res.status, res.assignment, trace=trace.as_dict())

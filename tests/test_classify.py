@@ -229,7 +229,7 @@ def test_check_uniformity_flags_bad_p():
     p = [list(r) for r in alg.p]
     p[0][2] = 0  # must be the second projection on the majority pair {0,2}
     bad = Algebra(3, alg.f, tuple(tuple(r) for r in p), alg.g, alg.h)
-    assert any("p must be second projection" in v
+    assert any("p(0, 2)=0 should be 2 on majority pair (0,2)" in v
                for v in check_uniformity_laws(bad, graph))
 
 

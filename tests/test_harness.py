@@ -229,7 +229,8 @@ def test_cli_solve_refuses_np_complete_language(tmp_path):
     assert main(["solve", str(inst), "--force-oracle"]) == 0
 
 
-def test_cli_solve_refuses_embedded_np_complete_language(tmp_path, capsys):
+def _embedded_one_in_3_instance(tmp_path):
+    """An instance file whose embedded language holds 1-in-3 (NP-complete)."""
     one_in_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({
@@ -238,12 +239,61 @@ def test_cli_solve_refuses_embedded_np_complete_language(tmp_path, capsys):
         "domains": {v: [0, 1] for v in "xyzw"},
         "constraints": [{"scope": ["x", "y", "z"], "tuples": one_in_3},
                         {"scope": ["y", "z", "w"], "tuples": one_in_3}]}))
+    return inst
+
+
+def test_cli_solve_refuses_embedded_np_complete_language(tmp_path, capsys):
+    inst = _embedded_one_in_3_instance(tmp_path)
     assert main(["solve", str(inst), "--json"]) == 3
     out = json.loads(capsys.readouterr().out)
     assert out == {"status": "np-complete", "witness_pair": [0, 1]}
     assert main(["solve", str(inst), "--force-oracle", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)  # y = 1, the rest 0
     assert out["status"] == "sat" and out["oracle_used"]
+
+
+def test_cli_oracle_ignores_embedded_algebra(tmp_path, capsys):
+    inst = _embedded_one_in_3_instance(tmp_path)
+    assert main(["oracle", str(inst), "--json"]) == 0
+    oracle = json.loads(capsys.readouterr().out)
+    assert main(["solve", str(inst), "--force-oracle", "--json"]) == 0
+    forced = json.loads(capsys.readouterr().out)
+    assert oracle["status"] == "sat" and oracle["oracle_used"]
+    assert oracle["assignment"] == forced["assignment"]
+
+
+@pytest.mark.parametrize("key, damage", [
+    ("'variables'", lambda obj: obj.pop("variables")),
+    ("'domains'", lambda obj: obj.pop("domains")),
+    ("'y'", lambda obj: obj["domains"].pop("y")),
+    ("'scope'", lambda obj: obj["constraints"][0].pop("scope")),
+    ("'tuples'", lambda obj: obj["constraints"][1].pop("tuples")),
+    ("'pair'", lambda obj: obj["algebra"]["labels"][0].pop("pair")),
+    ("'label'", lambda obj: obj["algebra"]["labels"][0].pop("label")),
+])
+def test_cli_missing_key_exits_invalid(tmp_path, capsys, key, damage):
+    alg, graph = canonical_a3()
+    obj = instance_to_obj(Instance(
+        ["x", "y"], {"x": {0, 1}, "y": {0, 1}},
+        [(("x", "y"), relation([(0, 1), (1, 0)])),
+         (("y",), relation([(0,), (1,)]))]), algebra=algebra_to_obj(alg, graph))
+    damage(obj)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    assert main(["solve", str(path)]) == cli.EXIT_INVALID == 2
+    assert key in capsys.readouterr().err
+
+
+def test_cli_key_error_inside_solver_exits_internal(tmp_path, monkeypatch,
+                                                    capsys):
+    path = tmp_path / "inst.json"
+    assert main(["gen", "instance", "--seed", "3", "-o", str(path)]) == 0
+
+    def broken_solve(*args):
+        raise KeyError("x0")
+    monkeypatch.setattr(cli, "solve", broken_solve)
+    assert main(["solve", str(path)]) == cli.EXIT_INTERNAL == 4
+    assert "KeyError" in capsys.readouterr().err
 
 
 def test_cli_crash_exits_internal(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from ccsp.harness import (GeneratorConfig, brute_force_solutions,
                           gen_algebra, gen_instance)
 from ccsp.minimality import (MinimalityTables, Propagator,
                              establish_3_minimality, is_3_minimal)
-from ccsp.model import Instance, relation
+from ccsp.model import Instance, relation, restrict_instance
 
 
 EQ = relation([(0, 0), (1, 1)])
@@ -191,7 +191,7 @@ def test_assign_on_established_engine_matches_fresh_fixpoint():
             if len(pruned.domains[v]) < 2:
                 continue
             a = max(pruned.domains[v])
-            fixed = pruned.with_domains({**pruned.domains, v: {a}})
+            fixed = restrict_instance(pruned, {**pruned.domains, v: {a}})
             fresh, ref = establish_3_minimality(fixed), reference_fixpoint(fixed)
             assert (fresh is None) == (ref is None), (seed, v)
             assert engine.assign(v, a) == (fresh is not None), (seed, v)

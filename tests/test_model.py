@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,8 @@ from ccsp.errors import InvalidArgumentError
 from ccsp.harness import canonical_a3
 from ccsp.model import (Instance, algebra_violations, apply_componentwise,
                         close_under_ops, is_closed_under_ops, project,
-                        relation, summ, validate_instance, verify_assignment)
+                        relation, restrict_instance, restrict_relation, summ,
+                        validate_instance, verify_assignment)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,64 @@ def test_closure_is_polymorphism_invariant(a3):
     alg, _ = a3
     closed = close_under_ops([(0, 1, 2), (1, 1, 0), (2, 0, 1)], alg)
     assert is_closed_under_ops(closed, alg) is None
+
+
+def _assert_real_witness(rel, alg):
+    witness = is_closed_under_ops(rel, alg)
+    assert witness is not None
+    name, rows, image = witness
+    op = alg.all_ops()[name]
+    assert all(t in rel for t in rows)
+    assert image == apply_componentwise(op, rows)
+    assert image not in rel
+    return name
+
+
+def test_unclosed_witness_is_real(a3):
+    alg, _ = a3
+    # {(1,0),(2,2)}: f and p are first projection on it, p maps onto (1,2)
+    rel = relation([(1, 0), (2, 2)])
+    assert _assert_real_witness(rel, alg) == "p"
+    rng = random.Random(7)
+    found = 0
+    for _ in range(200):
+        arity = rng.randint(1, 3)
+        rows = {tuple(rng.randrange(3) for _ in range(arity))
+                for _ in range(rng.randint(1, 4))}
+        rel = relation(rows)
+        if close_under_ops(rows, alg).tuples != rel.tuples:
+            _assert_real_witness(rel, alg)
+            found += 1
+        else:
+            assert is_closed_under_ops(rel, alg) is None
+    assert found >= 50
+
+
+def test_restrict_relation_drops_and_signs():
+    r = relation([(0, 1), (1, 1), (2, 0)])
+    sub = restrict_relation(r, [{0, 1}, {1, 2}])
+    assert sub.tuples == {(0, 1), (1, 1)}
+    assert sub.signature == (frozenset({0, 1}), frozenset({1, 2}))
+    empty = restrict_relation(r, [{2}, {1}])
+    assert empty.tuples == frozenset() and empty.signature == ({2}, {1})
+
+
+def test_restrict_instance(a3):
+    alg, _ = a3
+    neq = relation([(0, 1), (1, 0), (1, 2), (2, 1)])
+    one = relation([(0,), (2,)])
+    inst = Instance(["u", "w"], {"u": {0, 1, 2}, "w": {0, 1, 2}},
+                    [(("u", "w"), neq), (("w",), one), (("w", "u"), neq)], alg)
+    smaller = restrict_instance(inst, {"u": {1, 2}, "w": {1}})
+    assert smaller.variables == inst.variables and smaller.algebra is alg
+    assert smaller.domains == {"u": {1, 2}, "w": {1}}
+    assert [c.scope for c in smaller.constraints] == \
+        [("u", "w"), ("w",), ("w", "u")]
+    assert [c.relation.tuples for c in smaller.constraints] == \
+        [{(2, 1)}, frozenset(), {(1, 2)}]
+    assert [c.relation.signature for c in smaller.constraints] == \
+        [({1, 2}, {1}), ({1},), ({1}, {1, 2})]
+    assert restrict_instance(inst, {"u": {1, 2}, "w": set()}) is None
 
 
 def test_algebra_violations_clean(a3):

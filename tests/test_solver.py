@@ -9,9 +9,8 @@ from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve, canonical_a3,
                           canonical_algebra, gen_algebra, gen_instance)
 from ccsp.minimality import Propagator, establish_3_minimality
 from ccsp.model import Instance, close_under_ops, relation, verify_assignment
-from ccsp.solver import (SolveConfig, _solve_mixed_backtracking,
-                         classify_and_solve, lev, solve,
-                         solve_semilattice_free)
+from ccsp.solver import (_solve_mixed_backtracking, classify_and_solve, lev,
+                         solve, solve_semilattice_free)
 from test_minimality import mixed_instances
 
 
@@ -241,23 +240,6 @@ def test_classify_and_solve_rejects_foreign_relation():
                     [(("x", "y"), relation([(0, 1)]))])
     with pytest.raises(InvalidArgumentError):
         classify_and_solve(XOR3, inst)
-
-
-def test_fast_probe_config():
-    alg, graph = canonical_a3()
-    rel = close_under_ops([(0, 1), (1, 2), (2, 0)], alg)
-    graph2 = EdgeLabeledGraph(3, {
-        (0, 1): semilattice_label([(0, 1)]),
-        (0, 2): PairLabel(AFFINE),
-        (1, 2): PairLabel(AFFINE)})
-    alg2 = canonical_algebra(graph2)
-    rel2 = close_under_ops([(0, 1), (1, 2), (2, 0)], alg2)
-    inst = Instance(["x", "y"], {"x": {0, 1, 2}, "y": {0, 1, 2}},
-                    [(("x", "y"), relation(rel2.tuples,
-                                           signature=[{0, 1, 2}] * 2))], alg2)
-    plain, _ = solve(inst, alg2, graph2)
-    probed, _ = solve(inst, alg2, graph2, SolveConfig(fast_probe=True))
-    assert plain.status == probed.status == brute_force_solve(inst).status
 
 
 def _parity_with_top() -> tuple:
