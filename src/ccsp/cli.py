@@ -18,8 +18,9 @@ from .errors import (InternalInvariantError, InvalidArgumentError,
                      NPCompleteLanguageError, OracleBudgetError)
 from .harness import (GeneratorConfig, brute_force_solve, gen_algebra,
                       gen_instance, gen_planted_instance, run_law_suite)
-from .jsonio import (algebra_to_obj, dump, instance_from_obj, instance_to_obj,
-                     language_from_obj, load_algebra, result_to_obj)
+from .jsonio import (_as_obj, algebra_to_obj, dump, instance_from_obj,
+                     instance_to_obj, language_from_obj, load_algebra,
+                     result_to_obj)
 from .model import Instance
 from .solver import PipelineResult, solve
 
@@ -55,7 +56,7 @@ def cmd_classify(args) -> int:
 def _read_instance(path: str) -> tuple[Instance, object]:
     """The instance in a file, and its raw `algebra` reference (or None),
     left unresolved."""
-    raw = json.loads(Path(path).read_text())
+    raw = _as_obj(path)
     ref = raw.pop("algebra", None)
     inst, _, _ = instance_from_obj(raw)
     return inst, ref
@@ -166,9 +167,9 @@ def cmd_bench(args) -> int:
                                   max_arity=3, label_weights=weights)
             alg, graph = gen_algebra(cfg)
             inst = gen_planted_instance(alg, graph, cfg)
-            t0 = time.time()
+            t0 = time.perf_counter()
             result, trace = solve(inst, alg, graph)
-            dt = time.time() - t0
+            dt = time.perf_counter() - t0
             guideline = 2 * max((len(inst.domains[v])
                                  for v in inst.variables), default=0)
             rows.append({"mix": mix_name, "variables": nv, "constraints": nc,

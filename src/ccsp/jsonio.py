@@ -25,14 +25,19 @@ JsonLike = Union[dict, str, Path]
 
 
 def _as_obj(source: JsonLike) -> dict:
-    if isinstance(source, dict):
-        return source
-    text = Path(source).read_text()
-    return json.loads(text)
+    """A JSON object given inline or as a file path."""
+    obj = (json.loads(Path(source).read_text())
+           if isinstance(source, (str, Path)) else source)
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(
+            f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _field(obj: dict, key, what: str):
     """obj[key], or an InvalidArgumentError naming the missing key."""
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(f"{what} must be a JSON object")
     if key not in obj:
         raise InvalidArgumentError(f"{what} is missing {key!r}")
     return obj[key]

@@ -17,69 +17,22 @@ tuples (until then their tables can only shrink below unmoved supports).
 The filters are monotone, so the fixpoint does not depend on the order of
 revision.  Tables are replaced, never mutated, so a trail of replaced values
 can undo a branch (`mark` / `undo`).
+
+The engine at its fixpoint is the one carrier of a node's tables:
+`establish_3_minimality` returns it beside the pruned instance, the base
+solvers assign on it, and `is_3_minimal` re-checks it in place.
 """
 
 from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .model import Constraint, Instance, relation
 
 VarSet = tuple
 _MISSING = object()
-
-
-class MinimalityTables:
-    """Partial-solution tables over all variable sets of size <= 3."""
-
-    def __init__(self, variables: Sequence, domains: dict,
-                 pairs: dict, triples: dict):
-        self.variables = tuple(variables)
-        self.domains = {v: frozenset(domains[v]) for v in self.variables}
-        self.pairs = {k: frozenset(v) for k, v in pairs.items()}
-        self.triples = {k: frozenset(v) for k, v in triples.items()}
-        self._order = {v: i for i, v in enumerate(self.variables)}
-
-    def sort_vars(self, ws: Iterable) -> VarSet:
-        return tuple(sorted(set(ws), key=self._order.__getitem__))
-
-    def pair(self, u, v) -> frozenset:
-        key = self.sort_vars((u, v))
-        if key in self.pairs:
-            return self.pairs[key]
-        a, b = key
-        return frozenset(itertools.product(sorted(self.domains[a]),
-                                           sorted(self.domains[b])))
-
-    def triple(self, u, v, w) -> frozenset:
-        key = self.sort_vars((u, v, w))
-        if key in self.triples:
-            return self.triples[key]
-        a, b, c = key
-        ab, ac, bc = self.pair(a, b), self.pair(a, c), self.pair(b, c)
-        return frozenset((x, y, z)
-                         for (x, y) in ab
-                         for z in sorted(self.domains[c])
-                         if (x, z) in ac and (y, z) in bc)
-
-    def table(self, ws: Iterable) -> frozenset:
-        key = self.sort_vars(ws)
-        if len(key) == 1:
-            return frozenset((a,) for a in self.domains[key[0]])
-        if len(key) == 2:
-            return self.pair(*key)
-        if len(key) == 3:
-            return self.triple(*key)
-        raise ValueError("tables exist only for 1..3 variables")
-
-    def nontrivial_items(self):
-        """Materialized (variable-set, tuple-set) pairs, pairs then triples."""
-        for key in sorted(self.pairs, key=lambda k: tuple(self._order[v] for v in k)):
-            yield key, self.pairs[key]
-        for key in sorted(self.triples, key=lambda k: tuple(self._order[v] for v in k)):
-            yield key, self.triples[key]
 
 
 class _Domains(dict):
@@ -91,15 +44,10 @@ class _Domains(dict):
 
 
 class Propagator:
-    """Worklist fixpoint engine behind establish_3_minimality.
+    """Worklist fixpoint engine behind establish_3_minimality; every
+    variable starts scheduled."""
 
-    Built from an instance alone, every variable starts scheduled.  Built
-    from the pruned instance and the tables that establish_3_minimality
-    returned, it starts at that fixpoint with nothing scheduled.
-    """
-
-    def __init__(self, inst: Instance,
-                 tables: Optional[MinimalityTables] = None):
+    def __init__(self, inst: Instance):
         self.inst = inst
         self.variables = inst.variables
         self._order = {v: i for i, v in enumerate(self.variables)}
@@ -131,11 +79,6 @@ class Propagator:
         self.failed = False
         self.shrinks = 0
         self.trail: Optional[list] = None
-        if tables is not None:
-            for key, val in [*tables.pairs.items(), *tables.triples.items()]:
-                self._set(key, val, shrunk=False)
-            self.fresh.clear()
-            self.dirty.clear()
 
     def sort_vars(self, ws: Iterable) -> VarSet:
         return tuple(sorted(set(ws), key=self._order.__getitem__))
@@ -152,6 +95,23 @@ class Propagator:
         ab, ac, bc = (self.pair_value(k) for k in ((a, b), (a, c), (b, c)))
         return frozenset((x, y, z) for (x, y) in ab for z in self.doms[c]
                          if (x, z) in ac and (y, z) in bc)
+
+    def table(self, ws: Iterable) -> frozenset:
+        """The current table on a set of one to three variables."""
+        key = self.sort_vars(ws)
+        if len(key) == 1:
+            return frozenset((a,) for a in self.doms[key[0]])
+        if len(key) == 2:
+            return self.pair_value(key)
+        if len(key) == 3:
+            return self.triples[key] if key in self.triples else self._join(key)
+        raise ValueError("tables exist only for 1..3 variables")
+
+    def nontrivial_items(self):
+        """Materialized (variable-set, tuple-set) pairs, pairs then triples."""
+        for table in (self.pairs, self.triples):
+            for key in sorted(table, key=lambda k: [*map(self._order.get, k)]):
+                yield key, table[key]
 
     # -- writes -------------------------------------------------------
     def _store(self, table: dict, k, value):
@@ -274,9 +234,8 @@ class Propagator:
         self.dirty.clear()
         self.failed = False
 
-    def snapshot(self) -> tuple[MinimalityTables, Instance]:
-        tables = MinimalityTables(self.variables, self.doms, self.pairs,
-                                  self.triples)
+    def snapshot(self) -> Instance:
+        """The instance pruned to the current domains and constraint tuples."""
         cons = []
         for old, tuples in zip(self.inst.constraints, self.rels.values()):
             sig = tuple(self.inst.domains[v] & self.doms[v] for v in old.scope)
@@ -285,34 +244,32 @@ class Propagator:
             else:
                 cons.append(Constraint(old.scope,
                                        relation(tuples, signature=sig)))
-        pruned = Instance(self.variables, self.doms, cons, self.inst.algebra)
-        return tables, pruned
+        return Instance(self.variables, self.doms, cons, self.inst.algebra)
 
 
 def establish_3_minimality(inst: Instance
-                           ) -> Optional[tuple[Instance, MinimalityTables]]:
+                           ) -> Optional[tuple[Instance, Propagator]]:
     """Mutually filter tables, constraints and domains to a fixpoint.
 
-    Returns the pruned, solution-equivalent instance together with its
-    tables, or None when some table empties (the instance is unsatisfiable).
+    Returns the pruned, solution-equivalent instance together with the
+    engine at that fixpoint, or None when some table empties (the instance
+    is unsatisfiable).
     """
     engine = Propagator(inst)
     if not engine.run():
         return None
-    tables, pruned = engine.snapshot()
-    return pruned, tables
+    return engine.snapshot(), engine
 
 
-def is_3_minimal(inst: Instance, tables: MinimalityTables) -> bool:
-    """True iff one more filtering round changes nothing.
-
-    The instance and the tables are taken as one combined state: the
-    instance must carry domains matching the tables, and its constraints
-    must already be pruned against them.
-    """
-    if any(inst.domains[v] != tables.domains[v] for v in inst.variables):
-        return False
-    engine = Propagator(inst, tables)
+def is_3_minimal(engine: Propagator) -> bool:
+    """True iff one more filtering pass over every constraint and table of
+    the engine changes nothing; the engine is left as it was."""
+    mark, shrinks = engine.mark(), engine.shrinks
+    dirty, fresh = set(engine.dirty), set(engine.fresh)
     engine.dirty.update(engine.variables)
     engine.fresh.update(engine.rels)
-    return engine.run() and engine.shrinks == 0
+    quiet = engine.run() and engine.shrinks == shrinks
+    engine.undo(mark)
+    engine.dirty.update(dirty)
+    engine.fresh = fresh
+    return quiet

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from .classify import EdgeLabeledGraph
 from .errors import InternalInvariantError, InvalidArgumentError
-from .minimality import MinimalityTables
+from .minimality import Propagator
 from .model import (Algebra, Constraint, Instance, SolveResult,
                     close_under_ops, project, relation, restrict_instance,
                     restrict_relation, summ, verify_assignment)
@@ -39,7 +39,7 @@ def _constraint_ok(scope: tuple, tuples, chosen: dict) -> bool:
 
 
 def find_consistent_collection(inst: Instance, graph: EdgeLabeledGraph,
-                               tables: Optional[MinimalityTables] = None
+                               engine: Optional[Propagator] = None
                                ) -> ConsistentCollection:
     """Extend a collection variable by variable, never backtracking.
 
@@ -50,8 +50,8 @@ def find_consistent_collection(inst: Instance, graph: EdgeLabeledGraph,
     for scope, rel in inst.constraints:
         for v in set(scope):
             by_var[v].append((scope, rel.tuples))
-    if tables is not None:
-        for key, tups in tables.nontrivial_items():
+    if engine is not None:
+        for key, tups in engine.nontrivial_items():
             for v in key:
                 by_var[v].append((key, tups))
 

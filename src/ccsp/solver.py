@@ -10,8 +10,9 @@ size of a domain containing a semilattice edge; this is asserted at run
 time and surfaced as an internal error if violated.
 
 Each node establishes 3-minimality once.  A semilattice-free node hands
-its pruned instance and tables to the base solver, which starts from that
-fixpoint instead of establishing it again.  Base solver dispatch:
+its pruned instance and the engine at that fixpoint to the base solver,
+which assigns on that engine instead of establishing the fixpoint again.
+Base solver dispatch:
 all-majority domains extend greedily, assigning on the node's engine
 (bounded strict width); all-affine domains go to the compact-representation
 solver driven by the derived Maltsev operation; mixed domains fall back to
@@ -31,8 +32,7 @@ from .classify import (AFFINE, MAJORITY, ClassifierVerdict,
                        derive_m, gmm_violations)
 from .errors import InternalInvariantError, InvalidArgumentError
 from .maltsev import solve_with_maltsev
-from .minimality import (MinimalityTables, Propagator,
-                         establish_3_minimality)
+from .minimality import Propagator, establish_3_minimality
 from .model import (UNSAT, Algebra, Instance, Relation, SolveResult,
                     restrict_relation, sat, summ, verify_assignment)
 from .reductions import (combine_solutions, exclude_components,
@@ -47,9 +47,7 @@ class SolveTrace:
     depth: int = 0
     branch_counts: dict = field(default_factory=dict)
     lev_checks: int = 0
-    lev_violations: int = 0
     shrink_checks: int = 0
-    shrink_violations: int = 0
 
     def bump(self, kind: str):
         self.branch_counts[kind] = self.branch_counts.get(kind, 0) + 1
@@ -60,9 +58,7 @@ class SolveTrace:
             "depth": self.depth,
             "branches": dict(sorted(self.branch_counts.items())),
             "lev_checks": self.lev_checks,
-            "lev_violations": self.lev_violations,
             "shrink_checks": self.shrink_checks,
-            "shrink_violations": self.shrink_violations,
         }
 
 
@@ -144,13 +140,13 @@ def _solve_mixed_backtracking(engine: Propagator) -> SolveResult:
 
 def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
                            alg: Algebra,
-                           tables: Optional[MinimalityTables] = None
+                           engine: Optional[Propagator] = None
                            ) -> SolveResult:
     """Base solver: majority, affine, or mixed majority/affine domains.
 
-    `tables` are the 3-minimality tables that establish_3_minimality
-    returned together with `inst`; the base solvers then start from that
-    fixpoint.  Without them the fixpoint is established here first.
+    `engine` is the 3-minimality engine that establish_3_minimality
+    returned together with `inst`; the majority and mixed solvers assign on
+    it.  Without it the fixpoint is established here first.
     """
     if not is_semilattice_free(inst, graph):
         raise InvalidArgumentError("instance is not semilattice-free")
@@ -161,18 +157,18 @@ def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
             raise InternalInvariantError(
                 f"derived operation misbehaves on domain of {v!r}: {bad[0]}")
     pruned = inst
-    if tables is None:
+    if engine is None:
         est = establish_3_minimality(inst)
         if est is None:
             return UNSAT
-        pruned, tables = est
+        pruned, engine = est
     kinds = _domain_pair_kinds(pruned, graph)
     if kinds <= {MAJORITY}:
-        res = _solve_majority(Propagator(pruned, tables))
+        res = _solve_majority(engine)
     elif kinds <= {AFFINE}:
         res = _solve_affine(pruned, m)
     else:
-        res = _solve_mixed_backtracking(Propagator(pruned, tables))
+        res = _solve_mixed_backtracking(engine)
     if res.is_sat:
         bad = verify_assignment(inst, res.assignment)
         if bad:
@@ -192,7 +188,6 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
     def check_less(child: Instance, parent_measure: tuple[int, int], what: str):
         trace.shrink_checks += 1
         if not measure(child) < parent_measure:
-            trace.shrink_violations += 1
             raise InternalInvariantError(
                 f"termination measure did not decrease into {what}: "
                 f"{measure(child)} !< {parent_measure}")
@@ -200,7 +195,6 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
     def check_lev(child: Instance, parent_lev: int, what: str):
         trace.lev_checks += 1
         if not lev(child, graph) < parent_lev:
-            trace.lev_violations += 1
             raise InternalInvariantError(
                 f"lev did not decrease into {what}: "
                 f"{lev(child, graph)} !< {parent_lev}")
@@ -212,11 +206,11 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
             est = establish_3_minimality(cur)
             if est is None:
                 return UNSAT
-            pruned, tables = est
+            pruned, engine = est
 
             if is_semilattice_free(pruned, graph):
                 trace.bump("sfree")
-                return solve_semilattice_free(pruned, graph, alg, tables)
+                return solve_semilattice_free(pruned, graph, alg, engine)
 
             here = measure(pruned)
             has_proper = any(
@@ -226,7 +220,7 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
 
             if has_proper:
                 trace.bump("exclusion")
-                coll = find_consistent_collection(pruned, graph, tables)
+                coll = find_consistent_collection(pruned, graph, engine)
                 strands = strands_of_instance(pruned, coll)
                 subs = split_by_strands(pruned, coll)
                 solutions = []

@@ -191,8 +191,8 @@ def test_criterion_5_minimality_contract():
             if before:
                 bad_preserve.append(cfg.seed)
             continue
-        pruned, tables = out
-        if not is_3_minimal(pruned, tables):
+        pruned, engine = out
+        if not is_3_minimal(engine):
             bad_idem.append(cfg.seed)
         again = establish_3_minimality(pruned)
         if again is None or again[0].domains != pruned.domains:
@@ -267,12 +267,10 @@ def _exclusion_restart_instance():
 
 def test_criterion_6_reduction_measures():
     lev_checks = shrink_checks = 0
-    violations = 0
     for cfg in _suite_configs(200, base_seed=6000):
         alg, graph = gen_algebra(cfg)
         inst = gen_instance(alg, graph, cfg)
         res, trace = solve(inst, alg, graph)
-        violations += trace.lev_violations + trace.shrink_violations
         lev_checks += trace.lev_checks
         shrink_checks += trace.shrink_checks
     extras = list(_retraction_prone_instances()) + [_exclusion_restart_instance()]
@@ -280,16 +278,14 @@ def test_criterion_6_reduction_measures():
     for inst, alg, graph in extras:
         res, trace = solve(inst, alg, graph)
         assert res.status == brute_force_solve(inst).status
-        violations += trace.lev_violations + trace.shrink_violations
         lev_checks += trace.lev_checks
         shrink_checks += trace.shrink_checks
         restarts += trace.branch_counts.get("exclusion-restart", 0)
         restarts += trace.branch_counts.get("retract-loop", 0)
-    report(6, violations == 0 and lev_checks > 0 and shrink_checks > 0
-           and restarts > 0,
+    report(6, lev_checks > 0 and shrink_checks > 0 and restarts > 0,
            f"{lev_checks} lev-decrease checks and {shrink_checks} shrink "
-           f"checks ({restarts} restart/retract loop iterations), "
-           f"{violations} violations")
+           f"checks ({restarts} restart/retract loop iterations), none "
+           f"violated (a violation raises)")
 
 
 def test_criterion_7_scaling_smoke():

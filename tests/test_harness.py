@@ -284,6 +284,29 @@ def test_cli_missing_key_exits_invalid(tmp_path, capsys, key, damage):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle", "classify"])
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3"])
+def test_cli_non_object_json_exits_invalid(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == cli.EXIT_INVALID == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda obj: obj.update(domains=[[0, 1], [0, 1]]),
+    lambda obj: obj["constraints"].append(3),
+])
+def test_cli_non_object_entry_exits_invalid(tmp_path, capsys, damage):
+    obj = instance_to_obj(Instance(["x", "y"], {"x": {0, 1}, "y": {0, 1}},
+                                   [(("x", "y"), relation([(0, 1)]))]))
+    damage(obj)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    assert main(["oracle", str(path)]) == cli.EXIT_INVALID == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_cli_key_error_inside_solver_exits_internal(tmp_path, monkeypatch,
                                                     capsys):
     path = tmp_path / "inst.json"

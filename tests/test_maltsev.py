@@ -1,10 +1,14 @@
 import itertools
+import random
 
 import pytest
 
-from ccsp.harness import Rng
+from ccsp.classify import AFFINE, MAJORITY, EdgeLabeledGraph, PairLabel
+from ccsp.harness import Rng, brute_force_solve, canonical_algebra
 from ccsp.maltsev import (Representation, initial_representation, m_closure,
                           member, restrict, signature_of, solve_with_maltsev)
+from ccsp.model import Instance, relation
+from ccsp.solver import solve
 
 
 def random_maltsev_table(size, rng):
@@ -147,3 +151,24 @@ def test_parity_relation_representation():
     cons_bad = [((0, 1, 2), even), ((2, 3, 4), even), ((4, 5, 0), even),
                 ((1, 3, 5), even), ((0, 1, 2), odd)]
     assert solve_with_maltsev(domains, cons_bad, minority) is None
+
+
+@pytest.mark.xfail(strict=True, reason="maltsev.restrict loses solutions of "
+                   "this satisfiable 3-XOR system and solve reports unsat")
+def test_ten_variable_parity_system_matches_brute_force():
+    graph = EdgeLabeledGraph(3, {(0, 1): PairLabel(AFFINE),
+                                 (0, 2): PairLabel(MAJORITY),
+                                 (1, 2): PairLabel(MAJORITY)})
+    alg = canonical_algebra(graph)
+    xor = {c: relation([t for t in itertools.product((0, 1), repeat=3)
+                        if sum(t) % 2 == c]) for c in (0, 1)}
+    rng = random.Random(0)
+    names = [f"x{i}" for i in range(10)]
+    cons = []
+    for _ in range(9):
+        scope = tuple(rng.sample(names, 3))
+        cons.append((scope, xor[rng.randint(0, 1)]))
+    inst = Instance(names, {v: {0, 1} for v in names}, cons, alg)
+    assert brute_force_solve(inst).is_sat
+    res, _trace = solve(inst, alg, graph)
+    assert res.is_sat

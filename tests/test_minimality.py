@@ -4,8 +4,7 @@ import pytest
 
 from ccsp.harness import (GeneratorConfig, brute_force_solutions,
                           gen_algebra, gen_instance)
-from ccsp.minimality import (MinimalityTables, Propagator,
-                             establish_3_minimality, is_3_minimal)
+from ccsp.minimality import Propagator, establish_3_minimality, is_3_minimal
 from ccsp.model import Instance, relation, restrict_instance
 
 
@@ -21,15 +20,15 @@ def chain_equalities():
 
 def test_no_constraints_tables_are_full():
     inst = Instance(["a", "b", "c", "d"], {v: {0, 1} for v in "abcd"}, [])
-    pruned, tables = establish_3_minimality(inst)
-    assert list(tables.nontrivial_items()) == []
-    assert tables.table(("a", "b", "c")) == frozenset(
+    pruned, engine = establish_3_minimality(inst)
+    assert list(engine.nontrivial_items()) == []
+    assert engine.table(("a", "b", "c")) == frozenset(
         itertools.product((0, 1), repeat=3))
 
 
 def test_equality_triangle_table():
-    pruned, tables = establish_3_minimality(chain_equalities())
-    assert tables.table(("x", "y", "z")) == {(0, 0, 0), (1, 1, 1)}
+    pruned, engine = establish_3_minimality(chain_equalities())
+    assert engine.table(("x", "y", "z")) == {(0, 0, 0), (1, 1, 1)}
 
 
 def test_disequality_triangle_unsat():
@@ -41,30 +40,40 @@ def test_disequality_triangle_unsat():
 def test_pairwise_tables_survive_but_triple_empties():
     # the same triangle: every pairwise table alone is nonempty
     inst = Instance(["x", "y"], {v: {0, 1} for v in "xy"}, [(("x", "y"), NEQ)])
-    pruned, tables = establish_3_minimality(inst)
-    assert tables.pair("x", "y") == {(0, 1), (1, 0)}
+    pruned, engine = establish_3_minimality(inst)
+    assert engine.table(("y", "x")) == {(0, 1), (1, 0)}
 
 
 def test_idempotence_of_establish():
-    pruned, tables = establish_3_minimality(chain_equalities())
-    again, tables2 = establish_3_minimality(pruned)
+    pruned, engine = establish_3_minimality(chain_equalities())
+    again, engine2 = establish_3_minimality(pruned)
     assert again.domains == pruned.domains
-    for key, val in tables.nontrivial_items():
-        assert tables2.table(key) == val
-    assert is_3_minimal(pruned, tables)
+    for key, val in engine.nontrivial_items():
+        assert engine2.table(key) == val
+    assert is_3_minimal(engine)
 
 
 def test_is_3_minimal_rejects_unpruned():
-    inst = chain_equalities()
-    fresh = MinimalityTables(inst.variables, inst.domains, {}, {})
-    assert not is_3_minimal(inst, fresh)
+    assert not is_3_minimal(Propagator(chain_equalities()))
+
+
+def test_is_3_minimal_leaves_the_engine_as_it_was():
+    pruned, engine = establish_3_minimality(chain_equalities())
+    pairs, triples = dict(engine.pairs), dict(engine.triples)
+    assert is_3_minimal(engine)
+    assert engine.snapshot().constraints == pruned.constraints
+    assert (engine.pairs, engine.triples) == (pairs, triples)
+    engine = Propagator(chain_equalities())
+    assert not is_3_minimal(engine)
+    assert engine.run() and engine.doms["x"] == {0, 1}
+    assert engine.table(("x", "y", "z")) == {(0, 0, 0), (1, 1, 1)}
 
 
 def test_repeated_variable_scope():
     # tuples with unequal entries at a repeated variable can never match
     rel = relation([(0, 1), (1, 1)])
     inst = Instance(["x"], {"x": {0, 1}}, [(("x", "x"), rel)])
-    pruned, tables = establish_3_minimality(inst)
+    pruned, engine = establish_3_minimality(inst)
     assert pruned.domains["x"] == {1}
 
 
@@ -80,9 +89,9 @@ def test_solution_preservation_random(seed):
     if out is None:
         assert before == set()
         return
-    pruned, tables = out
+    pruned, engine = out
     assert brute_force_solutions(pruned) == before
-    assert is_3_minimal(pruned, tables)
+    assert is_3_minimal(engine)
 
 
 def test_tables_monotone_under_propagation():
@@ -157,9 +166,9 @@ def mixed_instances(count=100):
         yield seed, gen_instance(alg, graph, cfg)
 
 
-def assert_same_fixpoint(seed, tables, pruned, ref_tables, ref_tuples):
+def assert_same_fixpoint(seed, engine, pruned, ref_tables, ref_tuples):
     for key, want in ref_tables.items():
-        assert tables.table(key) == want, (seed, key)
+        assert engine.table(key) == want, (seed, key)
     assert [c.relation.tuples for c in pruned.constraints] == ref_tuples, seed
 
 
@@ -172,9 +181,9 @@ def test_fixpoint_matches_reference_on_mixed_instances():
         if out is None:
             continue
         sat_count += 1
-        pruned, tables = out
-        assert_same_fixpoint(seed, tables, pruned, *ref)
-        assert is_3_minimal(pruned, tables), seed
+        pruned, engine = out
+        assert_same_fixpoint(seed, engine, pruned, *ref)
+        assert is_3_minimal(engine), seed
     assert sat_count >= 30
 
 
@@ -184,8 +193,8 @@ def test_assign_on_established_engine_matches_fresh_fixpoint():
         out = establish_3_minimality(inst)
         if out is None:
             continue
-        pruned, tables = out
-        engine = Propagator(pruned, tables)
+        pruned, engine = out
+        pairs, triples = dict(engine.pairs), dict(engine.triples)
         mark = engine.mark()
         for v in pruned.variables:
             if len(pruned.domains[v]) < 2:
@@ -196,14 +205,14 @@ def test_assign_on_established_engine_matches_fresh_fixpoint():
             assert (fresh is None) == (ref is None), (seed, v)
             assert engine.assign(v, a) == (fresh is not None), (seed, v)
             if fresh is not None:
-                got_tables, got = engine.snapshot()
+                got = engine.snapshot()
                 assert got.domains == fresh[0].domains, (seed, v)
-                assert_same_fixpoint(seed, got_tables, got, *ref)
+                assert_same_fixpoint(seed, engine, got, *ref)
                 checked += 1
             engine.undo(mark)
-            back_tables, back = engine.snapshot()
+            back = engine.snapshot()
             assert back.domains == pruned.domains, (seed, v)
-            assert back_tables.pairs == tables.pairs, (seed, v)
-            assert back_tables.triples == tables.triples, (seed, v)
+            assert engine.pairs == pairs, (seed, v)
+            assert engine.triples == triples, (seed, v)
             assert back.constraints == pruned.constraints, (seed, v)
     assert checked >= 100

@@ -1,0 +1,51 @@
+"""The benchmark's per-layer tracer still finds every entry point it wraps.
+
+`perfbench/tracing.py` patches ccsp's module globals by name and reads
+counts off their return values; a rename or a changed return shape would
+otherwise only show when the benchmark runs with tracing on.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from ccsp.classify import ConstraintLanguage, classify_language
+from ccsp.harness import GeneratorConfig, gen_algebra, gen_planted_instance
+from ccsp.model import relation
+from ccsp.solver import solve
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def patched_targets(tracing):
+    return [getattr(*tracing._resolve(module, attr))
+            for module, attr, _layer, _observe in tracing.PATCHES]
+
+
+def test_tracer_wraps_every_target_and_restores_it():
+    tracing = load_tracing()
+    originals = patched_targets(tracing)
+    cfg = GeneratorConfig(seed=0, domain_size=3, variable_count=6,
+                          constraint_count=6, max_arity=3,
+                          label_weights=(0, 1, 0))
+    alg, graph = gen_algebra(cfg)
+    inst = gen_planted_instance(alg, graph, cfg)
+    lang = ConstraintLanguage(2, (relation([(0, 0), (0, 1), (1, 1)]),))
+    with tracing.installed(tracing.Tracer()) as tracer:
+        wrapped = patched_targets(tracing)
+        res, trace = solve(inst, alg, graph)
+        verdict = classify_language(lang)
+    assert all(w.__wrapped__ is o for w, o in zip(wrapped, originals))
+    assert res.is_sat and trace.branch_counts == {"sfree": 1}
+    assert verdict.tractable
+    assert tracer.counts["minimality.pair_tables"] > 0
+    assert tracer.counts["classify.pairs"] > 0
+    layers = {span[0] for span in tracer.spans}
+    assert {"minimality", "solver.base", "classify.label"} <= layers
+    assert all(a is b for a, b in zip(patched_targets(tracing), originals))
