@@ -43,6 +43,18 @@ def _field(obj: dict, key, what: str):
     return obj[key]
 
 
+_ITEMS = {None: "", str: " of strings", int: " of integers", list: " of lists"}
+
+
+def _list(value, what: str, item: Optional[type] = None) -> list:
+    """value, or an InvalidArgumentError naming the field unless it is a
+    list (of `item`s when given)."""
+    if not isinstance(value, list) or item is not None and not all(
+            isinstance(x, item) for x in value):
+        raise InvalidArgumentError(f"{what} must be a JSON list{_ITEMS[item]}")
+    return value
+
+
 def var_str(v) -> str:
     """Serialized variable name; multiplied-instance pairs become 'v@b'."""
     if isinstance(v, tuple) and len(v) == 2:
@@ -95,10 +107,11 @@ def language_from_obj(source: JsonLike) -> ConstraintLanguage:
     universe = obj.get("universe")
     if universe is None:
         raise InvalidArgumentError("language file needs a universe")
-    size = len(universe)
+    size = len(_list(universe, "'universe'"))
     rels = []
-    for tuples in obj.get("relations", []):
-        rels.append(relation([tuple(t) for t in tuples],
+    for tuples in _list(obj.get("relations", []), "'relations'", list):
+        rels.append(relation([tuple(_list(t, "a tuple", int))
+                              for t in tuples],
                              signature=None if tuples else [range(size)]))
     return ConstraintLanguage(size, tuple(rels))
 
@@ -109,7 +122,7 @@ def algebra_from_obj(source: JsonLike) -> tuple[Algebra, EdgeLabeledGraph]:
     universe = obj.get("universe")
     if universe is None:
         raise InvalidArgumentError("algebra file needs a universe")
-    size = len(universe)
+    size = len(_list(universe, "'universe'"))
     if all(k in obj for k in ("f", "p", "g", "h")):
         freeze2 = lambda t: tuple(tuple(int(x) for x in r) for r in t)
         freeze3 = lambda t: tuple(tuple(tuple(int(x) for x in r)
@@ -162,17 +175,19 @@ def instance_from_obj(source: JsonLike, base_dir: Optional[Path] = None
     alg = graph = None
     if obj.get("algebra") is not None:
         alg, graph = load_algebra(obj["algebra"], base_dir)
-    variables = list(_field(obj, "variables", "instance"))
+    variables = _list(_field(obj, "variables", "instance"), "'variables'", str)
     raw_domains = _field(obj, "domains", "instance")
-    domains = {v: frozenset(_field(raw_domains, v, "domains"))
+    domains = {v: frozenset(_list(_field(raw_domains, v, "domains"),
+                                  f"the domain of {v!r}", int))
                for v in variables}
     cons = []
-    for c in obj.get("constraints", []):
-        scope = tuple(_field(c, "scope", "constraint"))
+    for c in _list(obj.get("constraints", []), "'constraints'"):
+        scope = tuple(_list(_field(c, "scope", "constraint"), "'scope'", str))
         for v in scope:
             if v not in domains:
                 raise InvalidArgumentError(f"scope names unknown variable {v!r}")
-        tuples = [tuple(t) for t in _field(c, "tuples", "constraint")]
+        tuples = [tuple(_list(t, "a tuple", int)) for t in
+                  _list(_field(c, "tuples", "constraint"), "'tuples'", list)]
         sig = [domains[v] for v in scope]
         cons.append(Constraint(scope, relation(tuples, signature=sig)))
     return Instance(variables, domains, cons, alg), alg, graph

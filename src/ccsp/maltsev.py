@@ -5,28 +5,42 @@ affine: there the derived ternary operation m satisfies m(x,y,y) = x and
 m(y,y,x) = x on every domain, and every constraint relation is closed under
 componentwise m.
 
-A relation R over coordinates 0..n-1 is handled through a *representation*:
-a small subset of R that, for every position q and pair of values (a, b),
-contains a witness pair of tuples agreeing strictly before q and taking
-values a and b at q whenever R does.  Such a subset generates R under m,
-and R is empty iff the subset is.  Constraints are folded in one at a time:
-`restrict` rebuilds a representation of the restricted relation by
-transporting witness pairs with m and repairing off-constraint results by
-catalog-guided walks.  The rule set is exercised against brute-force
-closures in the test suite.
+A relation R over coordinates 0..n-1 is handled through a *representation*
+(Bulatov & Dalmau, "A simple algorithm for Mal'tsev constraints", 2006): a
+subset of R holding, for every position q and values a, b, a witness pair
+of tuples agreeing before q and valued a, b at q whenever R has one.  Such
+a subset walks any tuple of R to any other, t -> m(t, w, w'), one position
+at a time, so it generates R and decides membership.
+
+`restrict` builds a representation of R ∩ C exactly.  It rests on
+rectangularity: if tuples of R with prefix p take values a and b at q, and
+one with prefix p' takes a, then m(p'a.., pa.., pb..) gives p' the value b.
+So the values at q fall into blocks, one per prefix, equal or disjoint.
+Position by position, `restrict` finds one tuple of R ∩ C in every block:
+walking a tuple g of R ∩ C through the output's witness pairs before q
+reaches every prefix, so the values those pairs give g[q] meet every block.
+Then it completes the block of each such tuple t: a value b of t's block in
+R stays iff the fiber of u = m(t, w, w'), for R's witness pair (w, w') of
+(q, t[q], b), meets C; the fiber is the tuples of R sharing u's first q+1
+values.  It is the closure of u under R's witness pairs at positions after
+q, and on the scope it has at most |dom|^|scope| points.  The same closure
+over all of R's pairs finds g.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 Row = tuple[int, ...]
 
 
 def m_apply(m: Sequence, x: Row, y: Row, z: Row) -> Row:
-    return tuple(m[a][b][c] for a, b, c in zip(x, y, z))
+    return tuple([m[a][b][c] for a, b, c in zip(x, y, z)])
+
+
+def _step(m: Sequence, t: Row, w: Row, w2: Row, q: int) -> Row:
+    """m(t, w, w2) for a pair agreeing before q: t keeps its first q values."""
+    return t[:q] + m_apply(m, t[q:], w[q:], w2[q:])
 
 
 def m_closure(seed: Iterable[Row], m: Sequence) -> frozenset[Row]:
@@ -64,93 +78,55 @@ def signature_of(rows: Iterable[Row]) -> set[tuple[int, int, int]]:
 
 
 class Representation:
-    """Rows plus a witness catalog keyed by (position, value-at, value-to).
-
-    `generation` counts catalog/coverage growth so callers can cheaply tell
-    whether retrying a previously failed walk could now succeed.
-    """
+    """Rows plus a witness catalog keyed by (position, value-at, value-to)."""
 
     def __init__(self, n: int):
         self.n = n
         self.rows: list[Row] = []
         self.catalog: dict[tuple[int, int, int], tuple[int, int]] = {}
         self.coverage: dict[tuple[int, int], int] = {}
-        self.generation = 0
-        self._index: set[Row] = set()
-        self._mat = np.empty((0, n), dtype=np.int16)
-
-    def __len__(self):
-        return len(self.rows)
+        self._index: dict[Row, int] = {}
 
     @property
     def empty(self) -> bool:
         return not self.rows
 
-    def __contains__(self, row: Row) -> bool:
-        return row in self._index
-
-    def _grow_mat(self, row: Row):
-        arr = np.asarray(row, dtype=np.int16)[None, :]
-        self._mat = np.concatenate([self._mat, arr])
-
-    def would_be_novel(self, row: Row) -> bool:
-        """True if inserting the row adds coverage or a new catalog entry."""
-        if row in self._index:
-            return False
-        if any((q, a) not in self.coverage for q, a in enumerate(row)):
-            return True
-        k = len(self.rows)
-        if k == 0:
-            return True
-        diffs = self._mat[:k] != np.asarray(row, dtype=np.int16)
-        qs = diffs.argmax(axis=1)
-        hit = diffs[np.arange(k), qs]
-        for j in np.nonzero(hit)[0].tolist():
-            q = int(qs[j])
-            other = self.rows[j]
-            if (q, other[q], row[q]) not in self.catalog:
-                return True
-            if (q, row[q], other[q]) not in self.catalog:
-                return True
-        return False
+    def _insert(self, row: Row) -> int:
+        idx = self._index.get(row)
+        if idx is None:
+            idx = self._index[row] = len(self.rows)
+            self.rows.append(row)
+        return idx
 
     def add(self, row: Row) -> bool:
-        """Insert a row, harvesting catalog and coverage entries."""
+        """Insert a row, cataloguing its first difference with every row."""
         if row in self._index:
             return False
         idx = len(self.rows)
-        if idx:
-            diffs = self._mat != np.asarray(row, dtype=np.int16)
-            qs = diffs.argmax(axis=1)
-            hit = diffs[np.arange(idx), qs]
-            for j in np.nonzero(hit)[0].tolist():
-                q = int(qs[j])
-                other = self.rows[j]
-                if (q, other[q], row[q]) not in self.catalog:
-                    self.catalog[(q, other[q], row[q])] = (j, idx)
-                    self.generation += 1
-                if (q, row[q], other[q]) not in self.catalog:
-                    self.catalog[(q, row[q], other[q])] = (idx, j)
-                    self.generation += 1
+        for j, other in enumerate(self.rows):
+            q = next((q for q, (a, b) in enumerate(zip(other, row))
+                      if a != b), None)
+            if q is not None:
+                self.catalog.setdefault((q, other[q], row[q]), (j, idx))
+                self.catalog.setdefault((q, row[q], other[q]), (idx, j))
+        self._insert(row)
         for q, a in enumerate(row):
-            if (q, a) not in self.coverage:
-                self.coverage[(q, a)] = idx
-                self.generation += 1
-        self.rows.append(row)
-        self._index.add(row)
-        self._grow_mat(row)
+            self.coverage.setdefault((q, a), idx)
         return True
+
+    def add_block(self, q: int, rows: Sequence[Row]):
+        """Insert rows that agree before q and differ at q, cataloguing
+        every pair of them as witnesses at q."""
+        idx = [self._insert(row) for row in rows]
+        for i, t in zip(idx, rows):
+            self.coverage.setdefault((q, t[q]), i)
+            for j, u in zip(idx, rows):
+                if i != j:
+                    self.catalog[(q, t[q], u[q])] = (i, j)
 
     def witness(self, q: int, a: int, b: int) -> Optional[tuple[Row, Row]]:
         hit = self.catalog.get((q, a, b))
-        if hit is None:
-            return None
-        i, j = hit
-        return self.rows[i], self.rows[j]
-
-    def row_with_value(self, q: int, a: int) -> Optional[Row]:
-        idx = self.coverage.get((q, a))
-        return None if idx is None else self.rows[idx]
+        return None if hit is None else (self.rows[hit[0]], self.rows[hit[1]])
 
 
 def initial_representation(domains: Sequence[Sequence[int]]) -> Representation:
@@ -159,9 +135,7 @@ def initial_representation(domains: Sequence[Sequence[int]]) -> Representation:
     rep = Representation(n=len(domains))
     rep.add(base)
     for q, dom in enumerate(domains):
-        for a in sorted(dom):
-            if a != base[q]:
-                rep.add(base[:q] + (a,) + base[q + 1:])
+        rep.add_block(q, [base[:q] + (a,) + base[q + 1:] for a in sorted(dom)])
     return rep
 
 
@@ -176,141 +150,96 @@ def member(rep: Representation, target: Row, m: Sequence) -> bool:
         wit = rep.witness(q, g[q], target[q])
         if wit is None:
             return False
-        g = m_apply(m, g, wit[0], wit[1])
+        g = _step(m, g, wit[0], wit[1], q)
     return g == target
-
-
-class _Sweep:
-    """Builds a representation of R ∩ C from a representation of R."""
-
-    def __init__(self, parent: Representation, scope: Sequence[int],
-                 allowed: frozenset[Row], m: Sequence):
-        self.parent = parent
-        self.scope = tuple(scope)
-        self.scope_sorted = sorted(set(scope))
-        self.allowed = allowed
-        self.m = m
-        self.n = parent.n
-        self.out = Representation(n=parent.n)
-        # walk cache: (start, image_idx, floor) -> generation when last tried
-        self._walked: dict[tuple[Row, int, int], int] = {}
-
-    def satisfies(self, row: Row) -> bool:
-        return tuple(row[s] for s in self.scope) in self.allowed
-
-    def _witness(self, q: int, a: int, b: int) -> Optional[tuple[Row, Row]]:
-        wit = self.out.witness(q, a, b)
-        if wit is None:
-            wit = self.parent.witness(q, a, b)
-        return wit
-
-    def _walk(self, start: Row, floor: int, image_at: dict[int, int]) -> Optional[Row]:
-        """Align scope positions >= floor to target values, ascending.
-
-        Each alignment preserves everything before its position, so earlier
-        alignments and the prefix below `floor` survive.
-        """
-        g = start
-        for pos in self.scope_sorted:
-            if pos < floor:
-                continue
-            val = image_at[pos]
-            if g[pos] == val:
-                continue
-            wit = self._witness(pos, g[pos], val)
-            if wit is None:
-                return None
-            g = m_apply(self.m, g, wit[0], wit[1])
-        return g
-
-    def _image_map(self, image: Row) -> Optional[dict[int, int]]:
-        out: dict[int, int] = {}
-        for pos, val in zip(self.scope, image):
-            if out.setdefault(pos, val) != val:
-                return None
-        return out
-
-    def _try_walk(self, start: Row, floor: int, img_idx: int) -> bool:
-        key = (start, img_idx, floor)
-        gen = self.out.generation
-        if self._walked.get(key) == gen:
-            return False
-        self._walked[key] = gen
-        g = self._walk(start, floor, self.image_maps[img_idx])
-        if g is not None and self.satisfies(g):
-            if g not in self.out and self.out.would_be_novel(g):
-                return self.out.add(g)
-        return False
-
-    def run(self) -> Representation:
-        self.image_maps = []
-        for image in sorted(self.allowed):
-            im = self._image_map(image)
-            if im is not None:
-                self.image_maps.append(im)
-
-        for row in self.parent.rows:
-            if self.satisfies(row) and self.out.would_be_novel(row):
-                self.out.add(row)
-
-        while True:
-            grew = False
-            if self._walk_pass():
-                grew = True
-            if self._cover_pass():
-                grew = True
-            if not grew:
-                break
-        return self.out
-
-    def _walk_pass(self) -> bool:
-        grew = False
-        n_img = len(self.image_maps)
-        for start in list(self.parent.rows) + list(self.out.rows):
-            for i in range(n_img):
-                if self._try_walk(start, 0, i):
-                    grew = True
-        return grew
-
-    def _cover_pass(self) -> bool:
-        """Demand-driven: target each parent fork key missing from `out`."""
-        grew = False
-        for (q, a, b), (pi, pj) in list(self.parent.catalog.items()):
-            if a == b or (q, a, b) in self.out.catalog:
-                continue
-            if (q, a) not in self.out.coverage:
-                continue
-            x = self.out.rows[self.out.coverage[(q, a)]]
-            pairs = [(self.parent.rows[pi], self.parent.rows[pj])]
-            own = self.out.witness(q, a, b)
-            if own is not None:
-                pairs.append(own)
-            for w, w2 in pairs:
-                cand = m_apply(self.m, x, w, w2)
-                # cand agrees with x before q and has b at q
-                if self.satisfies(cand):
-                    if self.out.would_be_novel(cand) and self.out.add(cand):
-                        grew = True
-                    continue
-                if self._repair(cand, q):
-                    grew = True
-        return grew
-
-    def _repair(self, cand: Row, q: int) -> bool:
-        """Walk cand back into the constraint without disturbing [0..q]."""
-        grew = False
-        for i, im in enumerate(self.image_maps):
-            if any(pos <= q and cand[pos] != val for pos, val in im.items()):
-                continue
-            if self._try_walk(cand, q + 1, i):
-                grew = True
-        return grew
 
 
 def restrict(rep: Representation, scope: Sequence[int],
              allowed: Iterable[Row], m: Sequence) -> Representation:
     """Representation of {t in R : t[scope] in allowed} from one of R."""
-    return _Sweep(rep, scope, frozenset(tuple(t) for t in allowed), m).run()
+    out = Representation(n=rep.n)
+    if rep.empty:
+        return out
+    allowed = frozenset(tuple(t) for t in allowed)
+    coords = sorted(set(scope))
+    pick = [coords.index(s) for s in scope]
+
+    def on_scope(t: Row) -> Row:
+        return tuple([t[s] for s in coords])
+
+    def fits(point: Row) -> bool:
+        return tuple([point[i] for i in pick]) in allowed
+
+    values_of: dict[int, set[int]] = {}
+    for p, a in rep.coverage:
+        values_of.setdefault(p, set()).add(a)
+    pairs_from: dict[tuple[int, int], list[tuple[Row, Row]]] = {}
+    for (p, a, _b), (i, j) in rep.catalog.items():
+        pairs_from.setdefault((p, a), []).append((rep.rows[i], rep.rows[j]))
+    # The distinct actions on the scope of R's witness pairs at positions
+    # >= p are actions[:upto[p]]; past the scope they are the identity.
+    actions: dict[tuple[Row, Row], tuple[Row, Row]] = {}
+    upto = [0] * (rep.n + 1)
+    for p in range(max(coords, default=-1), -1, -1):
+        for a in values_of[p]:
+            for w, w2 in pairs_from.get((p, a), ()):
+                actions.setdefault((on_scope(w), on_scope(w2)), (w, w2))
+        upto[p] = len(actions)
+    actions = list(actions.items())
+
+    def reach(start: Row, lo: int) -> Optional[Row]:
+        """A tuple of C in the closure of start under R's pairs at >= lo."""
+        parent = {on_scope(start): None}
+        queue = list(parent)
+        for x in queue:
+            if fits(x):
+                path = []
+                while parent[x] is not None:
+                    x, pair = parent[x]
+                    path.append(pair)
+                for pair in reversed(path):
+                    start = m_apply(m, start, *pair)
+                return start
+            for (a, b), pair in actions[:upto[lo]]:
+                y = tuple([m[xi][ai][bi] for xi, ai, bi in zip(x, a, b)])
+                if y not in parent:
+                    parent[y] = (x, pair)
+                    queue.append(y)
+        return None
+
+    g = reach(rep.rows[0], 0)
+    if g is None:
+        return out
+    links: list[tuple[Row, Row]] = []  # the output's witness pairs so far
+    for q in range(rep.n):
+        below, everything, covered = len(links), values_of[q], set()
+        found, todo, moves = {g[q]: g}, [g[q]], None
+        while todo and covered != everything:
+            a = todo.pop()
+            t = found[a]
+            if a not in covered:
+                block = [t]
+                for w, w2 in pairs_from.get((q, a), ()):
+                    u = w2 if w is t else _step(m, t, w, w2, q)  # m(t,t,w2)=w2
+                    u = u if fits(on_scope(u)) else reach(u, q + 1)
+                    if u is not None:
+                        block.append(u)
+                out.add_block(q, block)
+                links.extend((t, u) for u in block[1:])
+                covered.update(u[q] for u in block)
+                if covered == everything:
+                    break
+            if moves is None:
+                moves = {}
+                for w, w2 in links[:below]:
+                    moves.setdefault((w[q], w2[q]), (w, w2))
+                    moves.setdefault((w2[q], w[q]), (w2, w))
+            for w, w2 in moves.values():
+                b = m[a][w[q]][w2[q]]
+                if b not in found:
+                    found[b] = m_apply(m, t, w, w2)
+                    todo.append(b)
+    return out
 
 
 def solve_with_maltsev(domains: Sequence[Sequence[int]],

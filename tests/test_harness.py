@@ -193,11 +193,28 @@ def test_cli_classify_exit_codes(tmp_path):
     assert main(["classify", str(easy)]) == 0
 
 
-def test_cli_invalid_input(tmp_path):
+def test_cli_invalid_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["classify", str(bad)]) == 2
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
+    one = {"variables": ["x"], "domains": {"x": [0, 1]}}
+    wrong_types = [
+        ("oracle", "'variables'", {"variables": 3, "domains": {}}),
+        ("oracle", "'variables'", {"variables": [["x"]], "domains": {}}),
+        ("oracle", "domain of 'x'", {"variables": ["x"], "domains": {"x": 5},
+                                     "constraints": []}),
+        ("oracle", "domain of 'x'", {"variables": ["x"],
+                                     "domains": {"x": ["a", 1]}}),
+        ("oracle", "'tuples'", {**one, "constraints": [{"scope": ["x"],
+                                                        "tuples": [3]}]}),
+        ("classify", "'universe'", {"universe": 3}),
+        ("classify", "a tuple", {"universe": [0, 1], "relations": [[3]]}),
+    ]
+    for command, field, obj in wrong_types:
+        bad.write_text(json.dumps(obj))
+        assert main([command, str(bad)]) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_cli_solve_with_algebra_flag(tmp_path):

@@ -153,8 +153,72 @@ def test_parity_relation_representation():
     assert solve_with_maltsev(domains, cons_bad, minority) is None
 
 
-@pytest.mark.xfail(strict=True, reason="maltsev.restrict loses solutions of "
-                   "this satisfiable 3-XOR system and solve reports unsat")
+# The canonical algebra of {0,1} affine and {0,2}, {1,2} majority: 3-XOR
+# systems live on {0,1}, and a variable with domain {0,1,2} brings majority
+# pairs into the instance.
+PARITY_GRAPH = EdgeLabeledGraph(3, {(0, 1): PairLabel(AFFINE),
+                                    (0, 2): PairLabel(MAJORITY),
+                                    (1, 2): PairLabel(MAJORITY)})
+PARITY_ALG = canonical_algebra(PARITY_GRAPH)
+XOR = {c: relation([t for t in itertools.product((0, 1), repeat=3)
+                    if sum(t) % 2 == c]) for c in (0, 1)}
+
+
+def gf2_consistent(equations):
+    """Gaussian elimination over GF(2) on x_i + x_j + x_k = c equations,
+    one row per pivot (its lowest variable bit)."""
+    pivots = {}
+    for i, j, k, c in equations:
+        mask, rhs = (1 << i) ^ (1 << j) ^ (1 << k), c
+        while mask:
+            low = mask & -mask
+            if low not in pivots:
+                pivots[low] = (mask, rhs)
+                break
+            pivot_mask, pivot_rhs = pivots[low]
+            mask ^= pivot_mask
+            rhs ^= pivot_rhs
+        if not mask and rhs:
+            return False
+    return True
+
+
+def parity_instance(n, equations, idle=False):
+    names = [f"x{i}" for i in range(n)]
+    domains = {v: {0, 1} for v in names}
+    if idle:
+        names.append("idle")
+        domains["idle"] = {0, 1, 2}
+    cons = [((f"x{i}", f"x{j}", f"x{k}"), XOR[c]) for i, j, k, c in equations]
+    return Instance(names, domains, cons, PARITY_ALG)
+
+
+def test_parity_systems_match_gf2_elimination():
+    """3-XOR systems around the satisfiability threshold, n = 10..60; the
+    small ones also with an idle {0,1,2} variable, which sends them to the
+    mixed backtracking solver instead of the Maltsev one."""
+    verdicts, mismatches = [], []
+    for n in (10, 12, 14, 20, 30, 40, 50, 60):
+        for density in (0.6, 0.8, 0.9, 1.0, 1.2):
+            for seed in range(4):
+                rng = random.Random(f"gf2/{n}/{density}/{seed}")
+                equations = [(*rng.sample(range(n), 3), rng.randint(0, 1))
+                             for _ in range(int(density * n))]
+                truth = gf2_consistent(equations)
+                for idle in ((False, True) if n <= 14 else (False,)):
+                    res, _trace = solve(parity_instance(n, equations, idle),
+                                        PARITY_ALG, PARITY_GRAPH)
+                    verdicts.append(truth)
+                    if res.is_sat != truth or res.is_sat and not all(
+                            res.assignment[f"x{i}"] ^ res.assignment[f"x{j}"]
+                            ^ res.assignment[f"x{k}"] == c
+                            for i, j, k, c in equations):
+                        mismatches.append((n, density, seed, idle))
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+    assert not mismatches, f"{len(mismatches)} of {len(verdicts)} wrong: " \
+        f"{mismatches}"
+
+
 def test_ten_variable_parity_system_matches_brute_force():
     graph = EdgeLabeledGraph(3, {(0, 1): PairLabel(AFFINE),
                                  (0, 2): PairLabel(MAJORITY),

@@ -6,11 +6,14 @@ otherwise only show when the benchmark runs with tracing on.
 """
 
 import importlib.util
+import itertools
 from pathlib import Path
 
-from ccsp.classify import ConstraintLanguage, classify_language
-from ccsp.harness import GeneratorConfig, gen_algebra, gen_planted_instance
-from ccsp.model import relation
+from ccsp.classify import (AFFINE, ConstraintLanguage, EdgeLabeledGraph,
+                           PairLabel, classify_language)
+from ccsp.harness import (GeneratorConfig, canonical_algebra, gen_algebra,
+                          gen_planted_instance)
+from ccsp.model import Instance, relation
 from ccsp.solver import solve
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,3 +52,22 @@ def test_tracer_wraps_every_target_and_restores_it():
     layers = {span[0] for span in tracer.spans}
     assert {"minimality", "solver.base", "classify.label"} <= layers
     assert all(a is b for a, b in zip(patched_targets(tracing), originals))
+
+
+def test_tracer_counts_maltsev_restricts():
+    graph = EdgeLabeledGraph(2, {(0, 1): PairLabel(AFFINE)})
+    alg = canonical_algebra(graph)
+    xor = {c: relation([t for t in itertools.product((0, 1), repeat=3)
+                        if sum(t) % 2 == c]) for c in (0, 1)}
+    names = [f"x{i}" for i in range(6)]
+    equations = [(0, 1, 2, 1), (2, 3, 4, 0), (4, 5, 0, 1), (1, 3, 5, 0)]
+    inst = Instance(names, {v: {0, 1} for v in names},
+                    [((names[i], names[j], names[k]), xor[c])
+                     for i, j, k, c in equations], alg)
+    tracing = load_tracing()
+    with tracing.installed(tracing.Tracer()) as tracer:
+        res, _trace = solve(inst, alg, graph)
+    assert res.is_sat
+    assert tracer.counts["maltsev.restricts"] == len(equations)
+    assert tracer.counts["maltsev.rows"] > 0
+    assert "maltsev" in {span[0] for span in tracer.spans}
