@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from .classify import classify_language
+from .classify import check_uniformity_laws, classify_language
 from .errors import (InternalInvariantError, InvalidArgumentError,
                      NPCompleteLanguageError, OracleBudgetError)
 from .harness import (GeneratorConfig, brute_force_solve, gen_algebra,
@@ -21,7 +21,7 @@ from .harness import (GeneratorConfig, brute_force_solve, gen_algebra,
 from .jsonio import (_as_obj, algebra_to_obj, dump, instance_from_obj,
                      instance_to_obj, language_from_obj, load_algebra,
                      result_to_obj)
-from .model import Instance
+from .model import Instance, validate_instance
 from .solver import PipelineResult, solve
 
 EXIT_OK = 0
@@ -87,6 +87,10 @@ def cmd_solve(args) -> int:
                           "refusing to solve (pass --force-oracle to override)"])
         return EXIT_NP_COMPLETE
     inst = Instance(inst.variables, inst.domains, inst.constraints, alg)
+    # verdicts hold only for a lawful algebra that preserves every constraint
+    problems = check_uniformity_laws(alg, graph) or validate_instance(inst)
+    if problems:
+        raise InvalidArgumentError(problems[0])
     result, trace = solve(inst, alg, graph)
     pipeline = PipelineResult(result.status, result.assignment,
                               trace=trace.as_dict())

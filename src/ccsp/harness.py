@@ -170,14 +170,12 @@ def gen_algebra(cfg: GeneratorConfig) -> tuple[Algebra, EdgeLabeledGraph]:
 
 def gen_closed_relation(alg: Algebra, domains: Sequence[frozenset],
                         rng: Rng, seeds: int = 3) -> Relation:
-    """Closure of random seed tuples inside the given per-position domains."""
+    """Closure of random seed tuples inside the given per-position domains,
+    signed by its projections (subdirect, as the structural laws assume)."""
     pool = [sorted(d) for d in domains]
     chosen = {tuple(rng.choice(p) for p in pool)
               for _ in range(max(1, seeds))}
-    closed = close_under_ops(chosen, alg)
-    # sign by the actual projections so the relation is subdirect on its
-    # factors, as the structural laws assume
-    return relation(closed.tuples)
+    return close_under_ops(chosen, alg)
 
 
 def gen_instance(alg: Algebra, graph: EdgeLabeledGraph,
@@ -217,8 +215,7 @@ def gen_planted_instance(alg: Algebra, graph: EdgeLabeledGraph,
         seeds = {tuple(rng.choice(p) for p in pool)
                  for _ in range(rng.randint(3, 5))}
         seeds.add(tuple(planted[v] for v in scope))
-        closed = close_under_ops(seeds, alg)
-        cons.append(Constraint(scope, relation(closed.tuples)))
+        cons.append(Constraint(scope, close_under_ops(seeds, alg)))
     return Instance(names, doms, cons, alg)
 
 

@@ -55,6 +55,16 @@ def _list(value, what: str, item: Optional[type] = None) -> list:
     return value
 
 
+def _table(value, size: int, depth: int, error: str) -> tuple:
+    """value as a nested-tuple table if it is `depth` levels of `size`-long
+    lists around integers; else an InvalidArgumentError(error)."""
+    if depth == 0 and isinstance(value, int):
+        return value
+    if depth and isinstance(value, list) and len(value) == size:
+        return tuple(_table(x, size, depth - 1, error) for x in value)
+    raise InvalidArgumentError(error)
+
+
 def var_str(v) -> str:
     """Serialized variable name; multiplied-instance pairs become 'v@b'."""
     if isinstance(v, tuple) and len(v) == 2:
@@ -73,17 +83,24 @@ def graph_to_obj(graph: EdgeLabeledGraph) -> list:
     return out
 
 
+def _pair(value, what: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(x, int) for x in value)):
+        raise InvalidArgumentError(f"{what} must be a JSON list of two integers")
+    return tuple(value)
+
+
 def graph_from_obj(size: int, labels: list) -> EdgeLabeledGraph:
     out = {}
-    for entry in labels:
-        a, b = _field(entry, "pair", "label entry")
+    for entry in _list(labels, "'labels'"):
+        a, b = _pair(_field(entry, "pair", "label entry"), "'pair'")
         kind = _field(entry, "label", "label entry")
         if kind == SEMILATTICE:
-            direction = entry.get("direction")
-            if direction is None:
-                direction = [min(a, b), max(a, b)]
-            out[(min(a, b), max(a, b))] = semilattice_label(
-                [tuple(direction)])
+            direction = _pair(entry.get("direction", [min(a, b), max(a, b)]),
+                              "'direction'")
+            if sorted(direction) != sorted((a, b)):
+                raise InvalidArgumentError("'direction' must order its pair")
+            out[(min(a, b), max(a, b))] = semilattice_label([direction])
         elif kind in (MAJORITY, AFFINE):
             out[(min(a, b), max(a, b))] = PairLabel(kind)
         else:
@@ -124,11 +141,10 @@ def algebra_from_obj(source: JsonLike) -> tuple[Algebra, EdgeLabeledGraph]:
         raise InvalidArgumentError("algebra file needs a universe")
     size = len(_list(universe, "'universe'"))
     if all(k in obj for k in ("f", "p", "g", "h")):
-        freeze2 = lambda t: tuple(tuple(int(x) for x in r) for r in t)
-        freeze3 = lambda t: tuple(tuple(tuple(int(x) for x in r)
-                                        for r in pl) for pl in t)
-        alg = Algebra(size, freeze2(obj["f"]), freeze2(obj["p"]),
-                      freeze3(obj["g"]), freeze3(obj["h"]))
+        tables = [_table(obj[op], size, k, f"'{op}' must be a "
+                         f"{'x'.join([str(size)] * k)} JSON list of integers")
+                  for op, k in zip("fpgh", (2, 2, 3, 3))]
+        alg = Algebra(size, *tables)
         graph = graph_from_obj(size, obj.get("labels", []))
         if len(graph.labels) != size * (size - 1) // 2:
             raise InvalidArgumentError("labels must cover every pair")

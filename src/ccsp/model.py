@@ -7,6 +7,7 @@ treated as immutable after construction; every operation is a pure function.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -182,71 +183,46 @@ def apply_componentwise(table, args: Sequence[ValueTuple]) -> ValueTuple:
     return tuple(out)
 
 
-def _np_table(table) -> np.ndarray:
-    return np.asarray(table, dtype=np.int64)
-
-
-def _encode(rows: np.ndarray, size: int) -> np.ndarray:
-    powers = (size ** np.arange(rows.shape[1], dtype=np.int64))
-    return rows @ powers
-
-
 def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
     """Least superset of the seed closed under componentwise f, p, g, h.
 
     Conservative operations never introduce new per-position values, so the
-    signature is the seed's per-position value sets.
+    signature is the seed's per-position value sets and the closure lies in
+    their product.  Tuples are held as sorted codes in base `alg.size`; f, p,
+    g and h are applied in turn to every combination of them until four in
+    a row add no tuple or the product is reached.
     """
     seed_tuples = [tuple(t) for t in seed]
     if not seed_tuples:
         raise InvalidArgumentError("closure needs a nonempty seed")
     arity = len(seed_tuples[0])
-    for t in seed_tuples:
-        if len(t) != arity:
-            raise InvalidArgumentError("seed tuples must share arity")
-
+    if any(len(t) != arity for t in seed_tuples):
+        raise InvalidArgumentError("seed tuples must share arity")
     size = alg.size
-    binaries = [_np_table(alg.f), _np_table(alg.p)]
-    ternaries = [_np_table(alg.g), _np_table(alg.h)]
-
-    rows = np.unique(np.asarray(seed_tuples, dtype=np.int64), axis=0)
-    known = set(_encode(rows, size).tolist())
-    frontier = rows
-
-    while frontier.size:
-        fresh_codes: set[int] = set()
-        fresh_rows: list[np.ndarray] = []
-
-        def collect(candidates: np.ndarray):
-            flat = candidates.reshape(-1, arity)
-            codes = _encode(flat, size)
-            uniq_codes, first = np.unique(codes, return_index=True)
-            for code, at in zip(uniq_codes.tolist(), first.tolist()):
-                if code not in known and code not in fresh_codes:
-                    fresh_codes.add(code)
-                    fresh_rows.append(flat[at])
-
-        for tab in binaries:
-            collect(tab[frontier[:, None, :], rows[None, :, :]])
-            collect(tab[rows[:, None, :], frontier[None, :, :]])
-        for tab in ternaries:
-            collect(tab[frontier[:, None, None, :], rows[None, :, None, :],
-                        rows[None, None, :, :]])
-            collect(tab[rows[:, None, None, :], frontier[None, :, None, :],
-                        rows[None, None, :, :]])
-            collect(tab[rows[:, None, None, :], rows[None, :, None, :],
-                        frontier[None, None, :, :]])
-
-        if not fresh_rows:
-            break
-        frontier = np.stack(fresh_rows)
-        rows = np.concatenate([rows, frontier])
-        known.update(fresh_codes)
-
-    return relation(
-        (tuple(r) for r in rows.tolist()),
-        signature=[{t[i] for t in seed_tuples} for i in range(arity)],
-    )
+    if not all(0 <= v < size for t in seed_tuples for v in t):
+        raise InvalidArgumentError("seed values must lie in the universe")
+    if size ** arity > 2 ** 64:
+        raise InvalidArgumentError(f"{size}**{arity} tuple codes overflow 64 bits")
+    signature = [{t[i] for t in seed_tuples} for i in range(arity)]
+    product = math.prod(map(len, signature))
+    # uint64 throughout: numpy promotes int64 with uint64 to float64
+    powers = np.array([size ** i for i in range(arity)], dtype=np.uint64)
+    codes = np.unique(np.array(seed_tuples, dtype=np.uint64) @ powers)
+    tables = itertools.cycle([np.array(t, dtype=np.uint64)
+                              for t in (alg.f, alg.p, alg.g, alg.h)])
+    idle = 0
+    while True:
+        cols = codes // powers[:, None] % np.uint64(size)  # (arity, n)
+        if idle == 4 or len(codes) == product:
+            return relation(map(tuple, cols.T.tolist()), signature=signature)
+        tab = next(tables)
+        # argument j varies along axis j of the (arity, n, ..., n) images
+        args = tuple(cols.reshape((arity,) + (1,) * j + (-1,)
+                                  + (1,) * (tab.ndim - 1 - j))
+                     for j in range(tab.ndim))
+        grown = np.union1d(codes, powers @ tab[args].reshape(arity, -1))
+        idle = idle + 1 if len(grown) == len(codes) else 0
+        codes = grown
 
 
 def preservation_witness(table, relations: Sequence[Relation]
@@ -275,7 +251,10 @@ def preservation_witness(table, relations: Sequence[Relation]
 
 
 def is_closed_under_ops(rel: Relation, alg: Algebra) -> Optional[tuple]:
-    """Return None if closed; else a witness (op_name, arg_tuples, image)."""
+    """Return None if closed; else a witness (op_name, arg_tuples, image).
+    The closure decides, so the algebra must be conservative."""
+    if not rel.tuples or len(close_under_ops(rel.tuples, alg)) == len(rel):
+        return None
     for name, tab in alg.all_ops().items():
         rows = preservation_witness(tab, (rel,))
         if rows is not None:
@@ -365,12 +344,10 @@ UNSAT = SolveResult("unsat", None)
 
 
 def validate_instance(inst: Instance) -> list[str]:
-    """Collect violations of the instance invariants.
-
-    Includes the check that every constraint relation is closed under the
-    algebra's four operations (when an algebra is attached).
+    """Collect violations of the instance invariants: with an algebra, also
+    its `algebra_violations` or, if none, each relation it does not preserve.
     """
-    out: list[str] = []
+    out: list[str] = algebra_violations(inst.algebra) if inst.algebra else []
     size = inst.algebra.size if inst.algebra else None
     for v in inst.variables:
         dom = inst.domains[v]
@@ -378,6 +355,8 @@ def validate_instance(inst: Instance) -> list[str]:
             out.append(f"domain of {v!r} is empty")
         if size is not None and any(a not in range(size) for a in dom):
             out.append(f"domain of {v!r} leaves the universe")
+    # closedness is decided by a closure: conservative ops, tuples in universe
+    check_closure = inst.algebra is not None and not out
     for k, c in enumerate(inst.constraints):
         for v in c.scope:
             if v not in inst.domains:
@@ -395,8 +374,9 @@ def validate_instance(inst: Instance) -> list[str]:
             if any(t[i] not in inst.domains[c.scope[i]] for i in range(len(t))):
                 out.append(f"constraint {k} tuple {t} leaves the domains")
                 break
-        if inst.algebra is not None and len(c.relation) > 0:
-            witness = is_closed_under_ops(c.relation, inst.algebra)
+        else:
+            witness = (is_closed_under_ops(c.relation, inst.algebra)
+                       if check_closure else None)
             if witness is not None:
                 name, args, image = witness
                 out.append(

@@ -166,9 +166,7 @@ def multiplied_instance(inst: Instance, alg: Algebra,
         enum = sorted(inst.domains[v])
         scope = tuple((v, b) for b in enum)
         seed = {tuple(f[b][c] for b in enum) for c in enum}
-        closed = close_under_ops(seed, alg)
-        cons.append(Constraint(scope, relation(
-            closed.tuples, signature=[doms[s] for s in scope])))
+        cons.append(Constraint(scope, close_under_ops(seed, alg)))
     for scope, rel in inst.constraints:
         for a in rel.sorted_tuples():
             sub_scope = tuple((scope[i], a[i]) for i in range(len(scope)))

@@ -1,10 +1,12 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from ccsp import cli
-from ccsp.classify import check_uniformity_laws
+from ccsp.classify import (AFFINE, EdgeLabeledGraph, PairLabel,
+                           canonical_algebra, check_uniformity_laws)
 from ccsp.cli import main
 from ccsp.errors import OracleBudgetError
 from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve,
@@ -211,10 +213,62 @@ def test_cli_invalid_input(tmp_path, capsys):
         ("classify", "'universe'", {"universe": 3}),
         ("classify", "a tuple", {"universe": [0, 1], "relations": [[3]]}),
     ]
+    alg = algebra_to_obj(*_affine_pair_algebra())
+    pair = {"pair": [0, 1], "label": "affine"}
+    for field, damage in [
+            ("'f'", {"f": 3}),
+            ("'f'", {"f": [[0]]}),
+            ("'p'", {"p": [[0, "a"], [1, 1]]}),
+            ("'g'", {"g": [[0, 1], [1, 0]]}),
+            ("'h'", {"h": [[[0, 0], [0, 1]], [[0, 1], [1, 1], [1, 1]]]}),
+            ("'labels'", {"labels": 3}),
+            ("'pair'", {"labels": [{**pair, "pair": 3}]}),
+            ("'pair'", {"labels": [{**pair, "pair": [0, 1, 1]}]}),
+            ("'direction'", {"labels": [{**pair, "label": "semilattice",
+                                          "direction": [0, 5]}]})]:
+        wrong_types.append(("solve", field, {**one,
+                                             "algebra": {**alg, **damage}}))
     for command, field, obj in wrong_types:
         bad.write_text(json.dumps(obj))
         assert main([command, str(bad)]) == 2
         assert field in capsys.readouterr().err
+
+
+def _affine_pair_algebra():
+    graph = EdgeLabeledGraph(2, {(0, 1): PairLabel(AFFINE)})
+    return canonical_algebra(graph), graph
+
+
+def test_cli_solve_rejects_constraint_the_algebra_does_not_preserve(
+        tmp_path, capsys):
+    # 1-in-3 constraints under the affine pair's minority h: the Maltsev
+    # solver used to answer unsat on this satisfiable instance (exit 1)
+    rng = random.Random(278)
+    names = [f"x{i}" for i in range(rng.randint(5, 9))]
+    one_in_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    constraints = [{"scope": rng.sample(names, 3), "tuples": one_in_3}
+                   for _ in range(rng.randint(2, len(names)))]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"variables": names,
+                                "domains": {v: [0, 1] for v in names},
+                                "constraints": constraints}))
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(algebra_to_obj(*_affine_pair_algebra())))
+    assert main(["solve", str(inst), "--algebra", str(alg)]) == 2
+    assert "constraint 0 not closed under h" in capsys.readouterr().err
+    assert main(["oracle", str(inst)]) == 0
+    assert capsys.readouterr().out.startswith("sat")
+
+
+def test_cli_solve_rejects_algebra_breaking_the_pair_laws(tmp_path, capsys):
+    alg, graph = _affine_pair_algebra()
+    obj = algebra_to_obj(alg, graph)
+    obj["labels"] = [{"pair": [0, 1], "label": "majority"}]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"algebra": obj, "variables": ["x"],
+                                "domains": {"x": [0, 1]}}))
+    assert main(["solve", str(inst)]) == 2
+    assert "on majority pair (0,1)" in capsys.readouterr().err
 
 
 def test_cli_solve_with_algebra_flag(tmp_path):

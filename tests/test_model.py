@@ -1,15 +1,20 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccsp.classify import (AFFINE, EdgeLabeledGraph, PairLabel,
+                           canonical_algebra)
 from ccsp.errors import InvalidArgumentError
 from ccsp.harness import canonical_a3
-from ccsp.model import (Instance, algebra_violations, apply_componentwise,
-                        close_under_ops, is_closed_under_ops, project,
-                        relation, restrict_instance, restrict_relation, summ,
-                        validate_instance, verify_assignment)
+from ccsp.indicator import table_from_assignment
+from ccsp.model import (Algebra, Instance, algebra_violations,
+                        apply_componentwise, close_under_ops,
+                        is_closed_under_ops, project, relation,
+                        restrict_instance, restrict_relation, summ,
+                        table_arity, validate_instance, verify_assignment)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +117,70 @@ def test_close_idempotent_and_monotone(data):
                                min_size=0, max_size=3))
     sup = close_under_ops(seed | bigger, alg)
     assert closed.tuples <= sup.tuples
+
+
+def _random_conservative_algebra(size, rng):
+    """Idempotent conservative f, p, g, h drawn cell by cell, each cell the
+    first argument with a probability drawn per algebra (the closer the
+    tables are to projections, the smaller the closures)."""
+    first = rng.random()
+
+    def table(arity):
+        return table_from_assignment(size, arity, {
+            args: args[0] if rng.random() < first else rng.choice(args)
+            for args in itertools.product(range(size), repeat=arity)})
+    return Algebra(size, table(2), table(2), table(3), table(3))
+
+
+def _reference_closure(seed, alg):
+    """Apply every operation to every combination until nothing is new."""
+    closed = set(seed)
+    while True:
+        images = {apply_componentwise(tab, rows)
+                  for tab in alg.all_ops().values()
+                  for rows in itertools.product(closed,
+                                                repeat=table_arity(tab))}
+        if images <= closed:
+            return closed
+        closed |= images
+
+
+def test_close_matches_reference_closure():
+    rng = random.Random(11)
+    grown_to_product = short_of_product = 0
+    for _ in range(150):
+        size = rng.randint(2, 4)
+        alg = _random_conservative_algebra(size, rng)
+        arity = rng.randint(1, 4)
+        pools = [rng.sample(range(size), rng.randint(2, min(size, 3)))
+                 for _ in range(arity)]
+        seed = {tuple(rng.choice(p) for p in pools)
+                for _ in range(rng.randint(2, 5))}
+        closed = close_under_ops(seed, alg)
+        assert closed.tuples == _reference_closure(seed, alg)
+        signature = tuple(frozenset(t[i] for t in seed) for i in range(arity))
+        assert closed.signature == signature
+        product = math.prod(map(len, signature))
+        if len(closed) < product:
+            short_of_product += 1
+        elif len(seed) < product:
+            grown_to_product += 1
+    assert grown_to_product >= 20 and short_of_product >= 20
+
+
+def test_close_guards_the_code_space():
+    alg = canonical_algebra(EdgeLabeledGraph(2, {(0, 1): PairLabel(AFFINE)}))
+    with pytest.raises(InvalidArgumentError, match="64 bits"):
+        close_under_ops([(0,) * 65, (1,) * 65], alg)
+    # a value outside the universe would share its code with another tuple
+    for seed in ([(2, 0), (0, 1)], [(-1,)]):
+        with pytest.raises(InvalidArgumentError, match="universe"):
+            close_under_ops(seed, alg)
+    # 2**64 codes still fit: the all-ones tuple has the largest code
+    ends = {(0,) * 64, (1,) * 64}
+    assert close_under_ops(ends, alg).tuples == ends
+    mixed = {(0, 1) * 32, (1, 0) * 32, (1, 1) * 32}
+    assert close_under_ops(mixed, alg).tuples == mixed | {(0, 0) * 32}
 
 
 def test_closure_is_polymorphism_invariant(a3):
@@ -219,6 +288,19 @@ def test_validate_detects_unclosed_relation(a3):
                     [(("u", "w"), rel)], alg)
     problems = validate_instance(inst)
     assert any("not closed under" in p for p in problems)
+
+
+def test_validate_lawless_algebra_and_values_outside_universe(a3):
+    alg, _ = a3
+    f = [list(r) for r in alg.f]
+    f[0][1] = 2
+    bad = Algebra(3, tuple(map(tuple, f)), alg.p, alg.g, alg.h)
+    # {0, 1} is its own product, which a non-conservative f can leave
+    inst = Instance(["u"], {"u": {0, 1}},
+                    [(("u",), relation([(0,), (1,)]))], bad)
+    assert any("not conservative" in p for p in validate_instance(inst))
+    far = Instance(["u"], {"u": {0, 5}}, [(("u",), relation([(5,)]))], alg)
+    assert validate_instance(far) == ["domain of 'u' leaves the universe"]
 
 
 def test_summ_and_verify(a3):
