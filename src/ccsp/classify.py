@@ -345,8 +345,10 @@ def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph,
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def derive_m(alg: Algebra):
-    """Compose m(x,y,z) = h(g(x,y,z), g(y,z,x), g(z,x,y)) as a table."""
+    """Compose m(x,y,z) = h(g(x,y,z), g(y,z,x), g(z,x,y)) as a table;
+    computed once per algebra (an immutable value) and then reused."""
     n = alg.size
     return tuple(
         tuple(

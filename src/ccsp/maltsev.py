@@ -24,7 +24,9 @@ R stays iff the fiber of u = m(t, w, w'), for R's witness pair (w, w') of
 (q, t[q], b), meets C; the fiber is the tuples of R sharing u's first q+1
 values.  It is the closure of u under R's witness pairs at positions after
 q, and on the scope it has at most |dom|^|scope| points.  The same closure
-over all of R's pairs finds g.
+over all of R's pairs is pr_scope(R) and finds g.  When R's first row
+already lies in C, `restrict` also searches it for a point outside C and
+returns R itself when there is none.
 """
 
 from __future__ import annotations
@@ -187,19 +189,18 @@ def restrict(rep: Representation, scope: Sequence[int],
         upto[p] = len(actions)
     actions = list(actions.items())
 
-    def reach(start: Row, lo: int) -> Optional[Row]:
-        """A tuple of C in the closure of start under R's pairs at >= lo."""
+    def path_to(start: Row, lo: int, goal) -> Optional[list]:
+        """R's pairs at >= lo that walk start to a tuple whose scope point
+        meets `goal`, by breadth-first search over the scope points."""
         parent = {on_scope(start): None}
         queue = list(parent)
         for x in queue:
-            if fits(x):
+            if goal(x):
                 path = []
                 while parent[x] is not None:
                     x, pair = parent[x]
                     path.append(pair)
-                for pair in reversed(path):
-                    start = m_apply(m, start, *pair)
-                return start
+                return path[::-1]
             for (a, b), pair in actions[:upto[lo]]:
                 y = tuple([m[xi][ai][bi] for xi, ai, bi in zip(x, a, b)])
                 if y not in parent:
@@ -207,9 +208,23 @@ def restrict(rep: Representation, scope: Sequence[int],
                     queue.append(y)
         return None
 
+    def reach(start: Row, lo: int) -> Optional[Row]:
+        """A tuple of C in the closure of start under R's pairs at >= lo."""
+        path = path_to(start, lo, fits)
+        if path is None:
+            return None
+        for pair in path:
+            start = m_apply(m, start, *pair)
+        return start
+
     g = reach(rep.rows[0], 0)
     if g is None:
         return out
+    # pr_scope(R) is the closure of one point under all of R's pairs: when
+    # no point of it lies outside C, R ∩ C = R.  A walk to g that moved
+    # started outside C.
+    if g == rep.rows[0] and path_to(g, 0, lambda x: not fits(x)) is None:
+        return rep
     links: list[tuple[Row, Row]] = []  # the output's witness pairs so far
     for q in range(rep.n):
         below, everything, covered = len(links), values_of[q], set()

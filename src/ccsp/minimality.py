@@ -7,16 +7,34 @@ join of smaller tables are never materialized: a pair table defaults to the
 product of the two domains, a triple table to the pairwise join.  A triple
 whose three pair tables include at most one non-default pair cannot tighten
 anything once pairs project onto domains, so propagation only visits
-materialized triples and triples with at least two materialized pairs.
+materialized triples and candidate triples, those with at least two
+materialized pairs.
 
-`Propagator` is a worklist engine (AC-3 style): each round revises only the
-constraints, materialized pairs and candidate triples on the variables whose
-domain, pair or triple table shrank.  Constraints are pre-indexed by an item
-getter per sub-scope, and project their supports again only after losing
-tuples (until then their tables can only shrink below unmoved supports).
-The filters are monotone, so the fixpoint does not depend on the order of
-revision.  Tables are replaced, never mutated, so a trail of replaced values
-can undo a branch (`mark` / `undo`).
+`Propagator` runs a FIFO queue of revisions, AC-3 style (Mackworth,
+"Consistency in networks of relations", 1977) over the table lattice.  A
+constraint revision filters the constraint's tuples by the domains and
+materialized tables on its scope and projects the survivors back onto
+them; a pair revision cuts the pair to the product of its domains and
+projects it onto them; a triple revision cuts the triple to its join and
+projects it onto its pairs.  When a table shrinks, only the revisions that
+read it are queued:
+
+- a domain: the constraints on the variable and the materialized pairs
+  and triples on it (a candidate triple reads the domain only through its
+  materialized pairs on the variable, whose revisions are queued);
+- a pair: the constraints whose scope holds both variables, the
+  materialized and candidate triples holding the pair, and, when a triple
+  revision shrank it, the pair's own revision;
+- a triple: the constraints whose scope holds it.
+
+The revision that caused the shrink is not queued again.  A constraint
+leaves every table on its scope equal to a projection of its tuples, so a
+pair it shrank needs no own revision, and only constraints and its own
+revision ever shrink a triple.  A constraint projects its tuples only when
+first revised and after losing some; until then its tables can only shrink
+below unmoved supports.  The filters are monotone, so the fixpoint does
+not depend on the order of revision.  Tables are replaced, never mutated,
+so a trail of replaced values can undo a branch (`mark` / `undo`).
 
 The engine at its fixpoint is the one carrier of a node's tables:
 `establish_3_minimality` returns it beside the pruned instance, the base
@@ -26,6 +44,7 @@ solvers assign on it, and `is_3_minimal` re-checks it in place.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -36,29 +55,31 @@ _MISSING = object()
 
 
 class _Domains(dict):
-    """Variable domains; writing one schedules its variable for revision."""
+    """Variable domains; a write is frozen and schedules, at the next
+    `run`, the revisions that read the domain."""
 
     def __setitem__(self, v, value):
-        super().__setitem__(v, value)
-        self.dirty.add(v)
+        super().__setitem__(v, frozenset(value))
+        self.written.append(v)
 
 
 class Propagator:
     """Worklist fixpoint engine behind establish_3_minimality; every
-    variable starts scheduled."""
+    constraint starts queued.  A revision is a constraint's index or the
+    key of a pair or triple."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.variables = inst.variables
         self._order = {v: i for i, v in enumerate(self.variables)}
-        self.dirty: set = set(self.variables)
         self.doms = _Domains(inst.domains)
-        self.doms.dirty = self.dirty
+        self.doms.written = []
         self.pairs: dict[VarSet, frozenset] = {}
         self.triples: dict[VarSet, frozenset] = {}
-        self.keys_on: dict = {}  # variable -> materialized pairs, triples on it
-        self.cons_on: dict = {v: [] for v in self.variables}
-        self.cons: list[tuple[tuple, list]] = []  # (scope, [(key, getter)])
+        # variable -> materialized pairs and triples on it (a dict: ordered)
+        self.keys_on: dict = {v: {} for v in self.variables}
+        self.readers: dict = {}  # variable set -> constraints on all of it
+        self.subs: list[list] = []  # per constraint: [(key, getter)]
         self.rels: dict[int, frozenset] = {}  # current tuples, by constraint
         for i, (scope, rel) in enumerate(inst.constraints):
             svars = self.sort_vars(scope)
@@ -70,15 +91,19 @@ class Propagator:
             if len(svars) < len(scope):  # a repeated variable takes one value
                 tuples = frozenset(t for t in tuples if all(
                     t[j] == t[first[v]] for j, v in enumerate(scope)))
-            for v in svars:
-                self.cons_on[v].append(i)
-            self.cons.append((scope, subs))
+            for key, _get in subs:
+                self.readers.setdefault(key, []).append(i)
+            self.subs.append(subs)
             self.rels[i] = tuples
         # constraints whose supports were never projected onto the tables
         self.fresh: set[int] = set(self.rels)
+        self.queue: deque = deque()
+        self.queued: set = set()
+        self._queue(self.rels)
         self.failed = False
         self.shrinks = 0
         self.trail: Optional[list] = None
+        self._products: dict = {}  # (domain, domain) -> default pair table
 
     def sort_vars(self, ws: Iterable) -> VarSet:
         return tuple(sorted(set(ws), key=self._order.__getitem__))
@@ -87,8 +112,14 @@ class Propagator:
     def pair_value(self, key: VarSet) -> frozenset:
         if key in self.pairs:
             return self.pairs[key]
-        a, b = key
-        return frozenset(itertools.product(self.doms[a], self.doms[b]))
+        return self._product(*key)
+
+    def _product(self, a, b) -> frozenset:
+        doms = (self.doms[a], self.doms[b])
+        value = self._products.get(doms)
+        if value is None:
+            value = self._products[doms] = frozenset(itertools.product(*doms))
+        return value
 
     def _join(self, key: VarSet) -> frozenset:
         a, b, c = key
@@ -113,27 +144,49 @@ class Propagator:
             for key in sorted(table, key=lambda k: [*map(self._order.get, k)]):
                 yield key, table[key]
 
+    # -- scheduling ---------------------------------------------------
+    def _queue(self, revisions: Iterable, cause=None):
+        queued = self.queued
+        for r in revisions:
+            if r not in queued and r != cause:
+                queued.add(r)
+                self.queue.append(r)
+
+    def _schedule(self, key: VarSet, cause=None):
+        """Queue the revisions that read the table on `key`, which the
+        revision `cause` (None: a write from outside) shrank."""
+        todo = list(self.readers.get(key, ()))
+        if len(key) == 1:
+            todo += self.keys_on[key[0]]
+        elif len(key) == 2:
+            a, b = key
+            thirds = [w for k in self.keys_on[a] if len(k) == 2 or b in k
+                      for w in k if w != a and w != b]
+            thirds += [w for k in self.keys_on[b] if len(k) == 2
+                       for w in k if w != a and w != b]
+            todo += [self.sort_vars((a, b, x)) for x in dict.fromkeys(thirds)]
+            if type(cause) is not int:  # a triple's revision shrank it
+                todo.append(key)
+        self._queue(todo, cause)
+
     # -- writes -------------------------------------------------------
     def _store(self, table: dict, k, value):
         if self.trail is not None:
             self.trail.append((table, k, table.get(k, _MISSING)))
         dict.__setitem__(table, k, value)
 
-    def _set(self, key: VarSet, value: frozenset, shrunk: bool = True):
-        """Replace the table on `key`; a shrink schedules its variables."""
+    def _set(self, key: VarSet, value: frozenset):
+        """Replace the table on `key`, materializing a pair or triple."""
         table = (self.doms, self.pairs, self.triples)[len(key) - 1]
         k = key[0] if len(key) == 1 else key
-        if k not in table:  # a pair or triple gets materialized
+        if k not in table:
             for v in key:
-                self.keys_on.setdefault(v, set()).add(key)
+                self.keys_on[v][key] = None
         self._store(table, k, value)
-        if shrunk:
-            self.dirty.update(key)
-            self.shrinks += 1
-            self.failed = self.failed or not value
 
-    def _shrink(self, key: VarSet, allowed: set):
-        """Intersect a table with `allowed`; triples are materialized."""
+    def _shrink(self, key: VarSet, allowed, cause):
+        """Intersect a table with `allowed` in the revision `cause`; a
+        shrink schedules the table's readers.  Triples are materialized."""
         if len(key) == 3:
             old = self.triples[key] if key in self.triples else self._join(key)
         else:
@@ -141,13 +194,16 @@ class Propagator:
         new = old & allowed
         if len(new) < len(old):
             self._set(key, new)
+            self.shrinks += 1
+            self.failed = self.failed or not new
+            self._schedule(key, cause)
         elif len(key) == 3 and key not in self.triples:
-            self._set(key, new, shrunk=False)
+            self._set(key, new)
 
     # -- revisions ----------------------------------------------------
     def _revise_constraint(self, i: int):
         tuples = kept = self.rels[i]
-        subs = self.cons[i][1]
+        subs = self.subs[i]
         for key, get in subs:
             table = (self.doms[key[0]] if len(key) == 1 else
                      (self.pairs if len(key) == 2 else self.triples).get(key))
@@ -162,57 +218,47 @@ class Propagator:
         for key, get in subs:
             if self.failed:
                 return
-            self._shrink(key, set(map(get, kept)))
+            self._shrink(key, set(map(get, kept)), i)
         self.fresh.discard(i)
 
     def _revise_pair(self, key: VarSet):
         a, b = key
-        self._shrink(key, set(itertools.product(self.doms[a], self.doms[b])))
-        self._shrink((a,), {t[0] for t in self.pairs[key]})
-        self._shrink((b,), {t[1] for t in self.pairs[key]})
+        self._shrink(key, self._product(a, b), key)
+        self._shrink((a,), {t[0] for t in self.pairs[key]}, key)
+        self._shrink((b,), {t[1] for t in self.pairs[key]}, key)
 
     def _revise_triple(self, key: VarSet):
         a, b, c = key
-        self._shrink(key, self._join(key))
+        self._shrink(key, self._join(key), key)
         val = self.triples[key]
         self.failed = self.failed or not val
         for (i, j), pkey in (((0, 1), (a, b)), ((0, 2), (a, c)),
                              ((1, 2), (b, c))):
-            self._shrink(pkey, {(t[i], t[j]) for t in val})
-
-    def _round(self):
-        """Revise the constraints, materialized pairs and triples on the
-        scheduled variables, and the triples where one joins two
-        materialized pairs: a triple gets its second materialized pair only
-        with both ends scheduled, so this finds every new candidate."""
-        vs = set(self.dirty)
-        self.dirty.clear()
-        for i in sorted({i for v in vs for i in self.cons_on[v]}):
-            if self.failed:
-                return
-            self._revise_constraint(i)
-        near = {k for v in vs for k in self.keys_on.get(v, ())}
-        for v in vs:  # pairs are materialized now for this round's triples
-            partners = [w for k in self.keys_on.get(v, ()) if len(k) == 2
-                        for w in k if w != v]
-            near.update(self.sort_vars((v, x, z)) for x, z in
-                        itertools.combinations(partners, 2))
-        for key in sorted(near, key=lambda k: (len(k), *map(self._order.get, k))):
-            if self.failed:
-                return
-            (self._revise_pair if len(key) == 2 else self._revise_triple)(key)
+            self._shrink(pkey, {(t[i], t[j]) for t in val}, key)
 
     def run(self) -> bool:
         """Propagate to the global fixpoint; False means inconsistent."""
-        while self.dirty and not self.failed:
-            self._round()
+        written = self.doms.written
+        for v in written:
+            self._schedule((v,))
+        written.clear()
+        queue, queued = self.queue, self.queued
+        while queue and not self.failed:
+            r = queue.popleft()
+            queued.discard(r)
+            if type(r) is int:
+                self._revise_constraint(r)
+            elif len(r) == 2:
+                self._revise_pair(r)
+            else:
+                self._revise_triple(r)
         return not self.failed
 
     def assign(self, v, a) -> bool:
         """Restrict a variable to one value and re-propagate."""
         if a not in self.doms[v]:
             return False
-        self._set((v,), frozenset((a,)))
+        self._shrink((v,), {a}, None)
         return self.run()
 
     def mark(self) -> int:
@@ -228,10 +274,12 @@ class Propagator:
             if old is _MISSING:
                 del table[k]
                 for v in k:
-                    self.keys_on[v].discard(k)
+                    del self.keys_on[v][k]
             else:
                 dict.__setitem__(table, k, old)
-        self.dirty.clear()
+        self.queue.clear()
+        self.queued.clear()
+        self.doms.written.clear()
         self.failed = False
 
     def snapshot(self) -> Instance:
@@ -262,14 +310,20 @@ def establish_3_minimality(inst: Instance
 
 
 def is_3_minimal(engine: Propagator) -> bool:
-    """True iff one more filtering pass over every constraint and table of
-    the engine changes nothing; the engine is left as it was."""
+    """True iff one more revision of every constraint (projecting its
+    tuples again) and of every materialized table changes nothing; the
+    engine is left as it was, pending revisions included.  Candidate
+    triples are materialized by then: the shrink that materialized a
+    triple's second pair queued the triple's revision."""
     mark, shrinks = engine.mark(), engine.shrinks
-    dirty, fresh = set(engine.dirty), set(engine.fresh)
-    engine.dirty.update(engine.variables)
+    pending, written = list(engine.queue), list(engine.doms.written)
+    fresh = set(engine.fresh)
     engine.fresh.update(engine.rels)
+    for revisions in (engine.rels, engine.pairs, engine.triples):
+        engine._queue(revisions)
     quiet = engine.run() and engine.shrinks == shrinks
     engine.undo(mark)
-    engine.dirty.update(dirty)
+    engine._queue(pending)
+    engine.doms.written.extend(written)
     engine.fresh = fresh
     return quiet

@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+# entries of one step's image array in close_under_ops (8 bytes each)
+_STEP_ELEMENTS = 1 << 21
+
 ValueTuple = tuple[int, ...]
 
 
@@ -190,7 +193,9 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
     signature is the seed's per-position value sets and the closure lies in
     their product.  Tuples are held as sorted codes in base `alg.size`; f, p,
     g and h are applied in turn to every combination of them until four in
-    a row add no tuple or the product is reached.
+    a row add no tuple or the product is reached.  An operation's images are
+    built in slices of its first argument, so that one step's arrays stay
+    under a fixed size until a single first argument's images exceed it.
     """
     seed_tuples = [tuple(t) for t in seed]
     if not seed_tuples:
@@ -217,10 +222,18 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
             return relation(map(tuple, cols.T.tolist()), signature=signature)
         tab = next(tables)
         # argument j varies along axis j of the (arity, n, ..., n) images
-        args = tuple(cols.reshape((arity,) + (1,) * j + (-1,)
-                                  + (1,) * (tab.ndim - 1 - j))
-                     for j in range(tab.ndim))
-        grown = np.union1d(codes, powers @ tab[args].reshape(arity, -1))
+        args = [cols.reshape((arity,) + (1,) * j + (-1,)
+                             + (1,) * (tab.ndim - 1 - j))
+                for j in range(tab.ndim)]
+        # slices of the first argument's axis keep each image array under
+        # _STEP_ELEMENTS entries, or at one first argument per slice
+        first = args[0]
+        rows = _STEP_ELEMENTS // (arity * len(codes) ** (tab.ndim - 1)) or 1
+        grown = codes
+        for lo in range(0, len(codes), rows):
+            args[0] = first[:, lo:lo + rows]
+            images = tab[tuple(args)].reshape(arity, -1)
+            grown = np.union1d(grown, powers @ images)
         idle = idle + 1 if len(grown) == len(codes) else 0
         codes = grown
 

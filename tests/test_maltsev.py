@@ -97,6 +97,27 @@ def test_restrict_matches_bruteforce(seed):
     assert member(rep, outside, m) == (outside in R)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_restrict_returns_r_when_its_scope_projection_is_allowed(seed):
+    rng = Rng(seed).split("subset")
+    size = rng.choice([2, 3, 4])
+    n = rng.choice([3, 4, 5])
+    m = random_maltsev_table(size, rng)
+    domains = [sorted(rng.sample(range(size), rng.randint(1, size)))
+               for _ in range(n)]
+    pool = list(itertools.product(*domains))
+    R = frozenset(m_closure(rng.sample(pool, min(len(pool), 3)), m))
+    rep = random_representation(R, n, rng)
+    scope = rng.sample(range(n), rng.randint(1, min(3, n)))
+    extra = list(itertools.product(*[domains[s] for s in scope]))
+    allowed = ({tuple(t[s] for s in scope) for t in R}
+               | set(rng.sample(extra, min(len(extra), 2))))
+    out = restrict(rep, scope, allowed, m)
+    assert out is rep
+    for t in pool:
+        assert member(out, t, m) == (t in R)
+
+
 @pytest.mark.parametrize("seed", range(120))
 def test_chained_solve_matches_bruteforce(seed):
     rng = Rng(seed).split("chain")

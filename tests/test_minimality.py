@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccsp.harness import (GeneratorConfig, brute_force_solutions,
                           gen_algebra, gen_instance)
@@ -216,3 +217,89 @@ def test_assign_on_established_engine_matches_fresh_fixpoint():
             assert engine.triples == triples, (seed, v)
             assert back.constraints == pruned.constraints, (seed, v)
     assert checked >= 100
+
+
+@st.composite
+def small_instances(draw):
+    """4-6 variables over a 2-4-element universe, 1-8 constraints of arity
+    1-3.  About half are 3-XOR equations over {0, 1} on distinct
+    variables (3-minimality does not decide systems of those); the others
+    hold at least half of all tuples, may repeat a scope variable and may
+    leave the domains."""
+    size = draw(st.integers(2, 4))
+    values = st.integers(0, size - 1)
+    variables = [f"v{i}" for i in range(draw(st.integers(4, 6)))]
+    domains = {v: draw(st.sets(values, min_size=2)) for v in variables}
+    constraints = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            scope = draw(st.permutations(variables))[:3]
+            rhs = draw(st.integers(0, 1))
+            tuples = [t for t in itertools.product((0, 1), repeat=3)
+                      if sum(t) % 2 == rhs]
+        else:
+            arity = draw(st.integers(1, 3))
+            scope = draw(st.lists(st.sampled_from(variables),
+                                  min_size=arity, max_size=arity))
+            tuples = draw(st.sets(st.tuples(*[values] * arity),
+                                  min_size=size ** arity // 2))
+        constraints.append((tuple(scope), relation(tuples)))
+    return Instance(variables, domains, constraints)
+
+
+def assert_matches_reference(engine, inst):
+    ref = reference_fixpoint(inst)
+    assert ref is not None
+    assert_same_fixpoint(None, engine, engine.snapshot(), *ref)
+    assert is_3_minimal(engine) and not engine.queue
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_instances(), st.data())
+def test_engine_matches_reference_through_assign_and_undo(inst, data):
+    out = establish_3_minimality(inst)
+    if out is None:
+        assert reference_fixpoint(inst) is None
+        return
+    _pruned, engine = out
+    assert_matches_reference(engine, inst)
+    stack = [(engine.mark(), inst.domains)]  # fixpoints to undo back to
+    for _ in range(data.draw(st.integers(0, 8), label="steps")):
+        open_vars = [v for v in inst.variables if len(engine.doms[v]) > 1]
+        if open_vars and data.draw(st.booleans(), label="assign"):
+            v = data.draw(st.sampled_from(open_vars), label="variable")
+            a = data.draw(st.sampled_from(sorted(engine.doms[v])), label="value")
+            doms = {**stack[-1][1], v: {a}}
+            fixed = restrict_instance(inst, doms)
+            mark = engine.mark()
+            if engine.assign(v, a):
+                assert_matches_reference(engine, fixed)
+                stack.append((mark, doms))
+            else:
+                assert reference_fixpoint(fixed) is None
+                engine.undo(mark)
+        elif len(stack) > 1:
+            engine.undo(stack.pop()[0])
+            assert_matches_reference(engine, restrict_instance(
+                inst, stack[-1][1]))
+
+
+def test_run_at_fixpoint_revises_nothing(monkeypatch):
+    calls = []
+    for name in ("_revise_constraint", "_revise_pair", "_revise_triple"):
+        method = getattr(Propagator, name)
+        monkeypatch.setattr(Propagator, name,
+                            lambda self, r, method=method: (
+                                calls.append(r), method(self, r)))
+    checked = 0
+    for seed, inst in mixed_instances(40):
+        out = establish_3_minimality(inst)
+        if out is None:
+            continue
+        _pruned, engine = out
+        assert calls and not engine.queue, seed
+        assert is_3_minimal(engine) and not engine.queue, seed
+        calls.clear()
+        assert engine.run() and calls == [] and not engine.queue, seed
+        checked += 1
+    assert checked >= 10

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccsp import model
 from ccsp.classify import (AFFINE, EdgeLabeledGraph, PairLabel,
                            canonical_algebra)
 from ccsp.errors import InvalidArgumentError
@@ -145,7 +146,7 @@ def _reference_closure(seed, alg):
         closed |= images
 
 
-def test_close_matches_reference_closure():
+def test_close_matches_reference_closure(monkeypatch):
     rng = random.Random(11)
     grown_to_product = short_of_product = 0
     for _ in range(150):
@@ -158,6 +159,9 @@ def test_close_matches_reference_closure():
                 for _ in range(rng.randint(2, 5))}
         closed = close_under_ops(seed, alg)
         assert closed.tuples == _reference_closure(seed, alg)
+        with monkeypatch.context() as patch:  # one first argument per slice
+            patch.setattr(model, "_STEP_ELEMENTS", 1)
+            assert close_under_ops(seed, alg).tuples == closed.tuples
         signature = tuple(frozenset(t[i] for t in seed) for i in range(arity))
         assert closed.signature == signature
         product = math.prod(map(len, signature))
@@ -166,6 +170,19 @@ def test_close_matches_reference_closure():
         elif len(seed) < product:
             grown_to_product += 1
     assert grown_to_product >= 20 and short_of_product >= 20
+    # A closure whose steps need several slices at the real slice size:
+    # under the affine pair's canonical algebra (f, p, g projections,
+    # h = x ^ y ^ z) it is the affine hull over GF(2).
+    alg = canonical_algebra(EdgeLabeledGraph(2, {(0, 1): PairLabel(AFFINE)}))
+    assert (alg.f, alg.p, alg.g) == (((0, 0), (1, 1)),) * 2 + (
+        (((0, 0), (0, 0)), ((1, 1), (1, 1))),)
+    seed = [tuple(rng.randint(0, 1) for _ in range(32)) for _ in range(7)]
+    hull = {seed[0]}
+    for t in seed[1:]:
+        hull |= {tuple(a ^ b ^ c for a, b, c in zip(u, seed[0], t))
+                 for u in hull}
+    assert 32 * len(hull) ** 3 > model._STEP_ELEMENTS  # several slices
+    assert close_under_ops(seed, alg).tuples == hull
 
 
 def test_close_guards_the_code_space():
