@@ -100,6 +100,8 @@ class ConstraintLanguage:
     relations: tuple[Relation, ...]
 
     def __post_init__(self):
+        if self.size < 1:
+            raise InvalidArgumentError("the 'universe' must not be empty")
         for rel in self.relations:
             for dom in rel.signature:
                 if any(v not in range(self.size) for v in dom):

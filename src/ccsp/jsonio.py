@@ -48,9 +48,9 @@ _ITEMS = {None: "", str: " of strings", int: " of integers", list: " of lists"}
 
 def _list(value, what: str, item: Optional[type] = None) -> list:
     """value, or an InvalidArgumentError naming the field unless it is a
-    list (of `item`s when given)."""
+    list (of `item`s when given; JSON true and false are no integers)."""
     if not isinstance(value, list) or item is not None and not all(
-            isinstance(x, item) for x in value):
+            type(x) is item for x in value):
         raise InvalidArgumentError(f"{what} must be a JSON list{_ITEMS[item]}")
     return value
 
@@ -58,7 +58,7 @@ def _list(value, what: str, item: Optional[type] = None) -> list:
 def _table(value, size: int, depth: int, error: str) -> tuple:
     """value as a nested-tuple table if it is `depth` levels of `size`-long
     lists around integers; else an InvalidArgumentError(error)."""
-    if depth == 0 and isinstance(value, int):
+    if depth == 0 and type(value) is int:
         return value
     if depth and isinstance(value, list) and len(value) == size:
         return tuple(_table(x, size, depth - 1, error) for x in value)
@@ -85,7 +85,7 @@ def graph_to_obj(graph: EdgeLabeledGraph) -> list:
 
 def _pair(value, what: str) -> tuple[int, int]:
     if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, int) for x in value)):
+            and all(type(x) is int for x in value)):
         raise InvalidArgumentError(f"{what} must be a JSON list of two integers")
     return tuple(value)
 
@@ -141,6 +141,8 @@ def algebra_from_obj(source: JsonLike) -> tuple[Algebra, EdgeLabeledGraph]:
         raise InvalidArgumentError("algebra file needs a universe")
     size = len(_list(universe, "'universe'"))
     if all(k in obj for k in ("f", "p", "g", "h")):
+        if size < 1:
+            raise InvalidArgumentError("the 'universe' must not be empty")
         tables = [_table(obj[op], size, k, f"'{op}' must be a "
                          f"{'x'.join([str(size)] * k)} JSON list of integers")
                   for op, k in zip("fpgh", (2, 2, 3, 3))]
@@ -192,6 +194,8 @@ def instance_from_obj(source: JsonLike, base_dir: Optional[Path] = None
     if obj.get("algebra") is not None:
         alg, graph = load_algebra(obj["algebra"], base_dir)
     variables = _list(_field(obj, "variables", "instance"), "'variables'", str)
+    if len(set(variables)) < len(variables):
+        raise InvalidArgumentError("'variables' names a variable twice")
     raw_domains = _field(obj, "domains", "instance")
     domains = {v: frozenset(_list(_field(raw_domains, v, "domains"),
                                   f"the domain of {v!r}", int))

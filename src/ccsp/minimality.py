@@ -14,27 +14,32 @@ materialized pairs.
 "Consistency in networks of relations", 1977) over the table lattice.  A
 constraint revision filters the constraint's tuples by the domains and
 materialized tables on its scope and projects the survivors back onto
-them; a pair revision cuts the pair to the product of its domains and
-projects it onto them; a triple revision cuts the triple to its join and
-projects it onto its pairs.  When a table shrinks, only the revisions that
-read it are queued:
+them, but only when first revised and after losing some tuples (until then
+its tables can only shrink below unmoved supports); a triple revision cuts
+the triple to its join and projects it onto its pairs.  A shrunken table
+queues these of its readers, except the revision that shrank it and left
+it a projection of what that revision read:
 
-- a domain: the constraints on the variable and the materialized pairs
-  and triples on it (a candidate triple reads the domain only through its
-  materialized pairs on the variable, whose revisions are queued);
-- a pair: the constraints whose scope holds both variables, the
-  materialized and candidate triples holding the pair, and, when a triple
-  revision shrank it, the pair's own revision;
-- a triple: the constraints whose scope holds it.
+- a domain: the constraints on the variable;
+- a pair: the constraints on both variables, and the materialized and
+  candidate triples holding the pair;
+- a triple: the constraints on all three variables.
 
-The revision that caused the shrink is not queued again.  A constraint
-leaves every table on its scope equal to a projection of its tuples, so a
-pair it shrank needs no own revision, and only constraints and its own
-revision ever shrink a triple.  A constraint projects its tuples only when
-first revised and after losing some; until then its tables can only shrink
-below unmoved supports.  The filters are monotone, so the fixpoint does
-not depend on the order of revision.  Tables are replaced, never mutated,
-so a trail of replaced values can undo a branch (`mark` / `undo`).
+A pair revision cuts a pair to the product of its domains and projects it
+onto them.  Neither it nor a triple on a shrunken domain is queued: at the
+fixpoint of the rest they would shrink nothing, so only `is_3_minimal`
+runs them, as an independent re-check.  There, every table on the scope of
+a constraint is a projection of its tuples (a default pair holds it).  A
+pair that no constraint covers was materialized by a triple whose two
+other pairs were materialized, and each materialized pair of a triple is
+its projection.  By induction on the order of materialization, every
+materialized pair projects onto exactly the domains of its variables; a
+materialized triple has a materialized pair on each variable, so it lies
+in the domains and its join keeps it.
+
+The filters are monotone, so the fixpoint does not depend on the order of
+revision.  Tables are replaced, never mutated, so a trail of replaced
+values can undo a branch (`mark` / `undo`).
 
 The engine at its fixpoint is the one carrier of a node's tables:
 `establish_3_minimality` returns it beside the pruned instance, the base
@@ -55,8 +60,7 @@ _MISSING = object()
 
 
 class _Domains(dict):
-    """Variable domains; a write is frozen and schedules, at the next
-    `run`, the revisions that read the domain."""
+    """Variable domains; a write is frozen and scheduled at the next `run`."""
 
     def __setitem__(self, v, value):
         super().__setitem__(v, frozenset(value))
@@ -153,20 +157,16 @@ class Propagator:
                 self.queue.append(r)
 
     def _schedule(self, key: VarSet, cause=None):
-        """Queue the revisions that read the table on `key`, which the
+        """Queue the listed readers of the table on `key`, which the
         revision `cause` (None: a write from outside) shrank."""
         todo = list(self.readers.get(key, ()))
-        if len(key) == 1:
-            todo += self.keys_on[key[0]]
-        elif len(key) == 2:
+        if len(key) == 2:
             a, b = key
             thirds = [w for k in self.keys_on[a] if len(k) == 2 or b in k
                       for w in k if w != a and w != b]
             thirds += [w for k in self.keys_on[b] if len(k) == 2
                        for w in k if w != a and w != b]
             todo += [self.sort_vars((a, b, x)) for x in dict.fromkeys(thirds)]
-            if type(cause) is not int:  # a triple's revision shrank it
-                todo.append(key)
         self._queue(todo, cause)
 
     # -- writes -------------------------------------------------------

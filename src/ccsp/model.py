@@ -146,6 +146,8 @@ def relation(tuples: Iterable[Sequence[int]],
         return Relation(len(sig), tups, sig)
     arity = len(next(iter(tups)))
     if signature is None:
+        if any(len(t) != arity for t in tups):
+            raise InvalidArgumentError("relation tuples differ in arity")
         sig = tuple(frozenset(t[i] for t in tups) for i in range(arity))
     else:
         sig = tuple(frozenset(d) for d in signature)

@@ -2,8 +2,9 @@
 
 1. Component exclusion: choose one as-component per variable meeting every
    constraint (a consistent collection), split the instance along strands,
-   and either combine the strand solutions or exclude a failed strand's
-   components from the domains.
+   cutting every constraint along them in one pass, and either combine the
+   strand solutions or exclude a failed strand's components from the
+   domains.
 
 2. Retraction via the multiplied instance: build an instance over variables
    (v, b) whose solutions induce consistent self-maps of the domains;
@@ -21,8 +22,8 @@ from .classify import EdgeLabeledGraph
 from .errors import InternalInvariantError, InvalidArgumentError
 from .minimality import Propagator
 from .model import (Algebra, Constraint, Instance, SolveResult,
-                    close_under_ops, project, relation, restrict_instance,
-                    restrict_relation, summ, verify_assignment)
+                    close_under_ops, relation, restrict_instance, summ,
+                    verify_assignment)
 from .structure import as_components, strands_of_instance
 
 ConsistentCollection = dict  # variable -> frozenset (an as-component)
@@ -30,12 +31,8 @@ ConsistentCollection = dict  # variable -> frozenset (an as-component)
 
 def _constraint_ok(scope: tuple, tuples, chosen: dict) -> bool:
     positions = [i for i, v in enumerate(scope) if v in chosen]
-    if not positions:
-        return True
-    for t in tuples:
-        if all(t[i] in chosen[scope[i]] for i in positions):
-            return True
-    return False
+    return any(all(t[i] in chosen[scope[i]] for i in positions)
+               for t in tuples)
 
 
 def find_consistent_collection(inst: Instance, graph: EdgeLabeledGraph,
@@ -47,52 +44,52 @@ def find_consistent_collection(inst: Instance, graph: EdgeLabeledGraph,
     therefore signals an upstream bug and raises loudly.
     """
     by_var: dict = {v: [] for v in inst.variables}
-    for scope, rel in inst.constraints:
-        for v in set(scope):
-            by_var[v].append((scope, rel.tuples))
+    tables = [(scope, rel.tuples) for scope, rel in inst.constraints]
     if engine is not None:
-        for key, tups in engine.nontrivial_items():
-            for v in key:
-                by_var[v].append((key, tups))
+        tables += engine.nontrivial_items()
+    for scope, tuples in tables:
+        for v in set(scope):
+            by_var[v].append((scope, tuples))
 
+    comps = {d: as_components(d, graph) for d in set(inst.domains.values())}
     coll: ConsistentCollection = {}
     for v in inst.variables:
-        found = None
-        for comp in as_components(inst.domains[v], graph):
+        for comp in comps[inst.domains[v]]:
             coll[v] = comp
             if all(_constraint_ok(k, t, coll) for k, t in by_var[v]):
-                found = comp
                 break
             del coll[v]
-        if found is None:
+        else:
             raise InternalInvariantError(
                 f"no as-component of {v!r} extends the partial collection; "
                 "the instance is not 3-minimal or tables are stale")
     return coll
 
 
-def split_by_strands(inst: Instance, coll: ConsistentCollection) -> list[Instance]:
-    """One sub-instance per strand, domains narrowed to the chosen components."""
-    out = []
-    for strand in strands_of_instance(inst, coll):
-        svars = [v for v in inst.variables if v in strand]
-        doms = {v: coll[v] for v in svars}
-        cons = []
-        seen = set()
-        for scope, rel in inst.constraints:
-            positions = [i for i, v in enumerate(scope) if v in strand]
-            if not positions:
-                continue
-            sub_scope = tuple(scope[i] for i in positions)
-            sub = restrict_relation(project(rel, positions),
-                                    [coll[v] for v in sub_scope])
-            key = (sub_scope, sub.tuples)
-            if key in seen:
-                continue
-            seen.add(key)
-            cons.append(Constraint(sub_scope, sub))
-        out.append(Instance(svars, doms, cons, inst.algebra))
-    return out
+def split_by_strands(inst: Instance, coll: ConsistentCollection
+                     ) -> list[tuple[frozenset, Instance]]:
+    """Each strand with its sub-instance over the chosen components.
+
+    One pass cuts every constraint along the strands it meets: a strand
+    gets, unless it holds them already, the tuples whose values at its
+    positions lie in the chosen components, projected onto those positions.
+    """
+    strands = strands_of_instance(inst, coll)
+    home = {v: k for k, strand in enumerate(strands) for v in strand}
+    cons: list[dict] = [{} for _ in strands]  # (scope, tuples) -> constraint
+    for scope, rel in inst.constraints:
+        for k in dict.fromkeys(home[v] for v in scope):
+            pos = [i for i, v in enumerate(scope) if home[v] == k]
+            sub = tuple(scope[i] for i in pos)
+            doms = [coll[v] for v in sub]
+            tuples = frozenset(tuple(t[i] for i in pos) for t in rel.tuples
+                               if all(t[i] in d for i, d in zip(pos, doms)))
+            if (sub, tuples) not in cons[k]:
+                cons[k][sub, tuples] = Constraint(
+                    sub, relation(tuples, signature=doms))
+    return [(strand, Instance([v for v in inst.variables if v in strand],
+                              coll, cons[k].values(), inst.algebra))
+            for k, strand in enumerate(strands)]
 
 
 def combine_solutions(inst: Instance, coll: ConsistentCollection,

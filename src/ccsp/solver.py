@@ -38,7 +38,8 @@ from .model import (UNSAT, Algebra, Instance, Relation, SolveResult,
 from .reductions import (combine_solutions, exclude_components,
                          find_consistent_collection, retract_instance,
                          retraction_step, split_by_strands)
-from .structure import as_components, is_semilattice_free, strands_of_instance
+from .structure import as_components, is_semilattice_free
+from .structure import strands_of_instance  # unused; perfbench/tracing.py PATCHES wraps it
 
 
 @dataclass
@@ -213,29 +214,23 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
                 return solve_semilattice_free(pruned, graph, alg, engine)
 
             here = measure(pruned)
-            has_proper = any(
-                as_components(pruned.domains[v], graph) !=
-                [frozenset(pruned.domains[v])]
-                for v in pruned.variables)
+            has_proper = any(as_components(d, graph) != [d]
+                             for d in set(pruned.domains.values()))
 
             if has_proper:
                 trace.bump("exclusion")
                 coll = find_consistent_collection(pruned, graph, engine)
-                strands = strands_of_instance(pruned, coll)
-                subs = split_by_strands(pruned, coll)
                 solutions = []
-                failed_strand = None
-                for strand, sub in zip(strands, subs):
+                for strand, sub in split_by_strands(pruned, coll):
                     check_less(sub, here, "a strand sub-instance")
                     res = inner(sub, depth + 1)
                     if not res.is_sat:
-                        failed_strand = strand
                         break
                     solutions.append(res.assignment)
-                if failed_strand is None:
+                else:
                     return sat(combine_solutions(pruned, coll, solutions))
                 trace.bump("exclusion-restart")
-                nxt = exclude_components(pruned, coll, failed_strand)
+                nxt = exclude_components(pruned, coll, strand)
                 if nxt is None:
                     return UNSAT
                 check_less(nxt, here, "the exclusion restart")

@@ -210,12 +210,27 @@ def test_cli_invalid_input(tmp_path, capsys):
                                      "domains": {"x": ["a", 1]}}),
         ("oracle", "'tuples'", {**one, "constraints": [{"scope": ["x"],
                                                         "tuples": [3]}]}),
+        ("oracle", "domain of 'x'", {"variables": ["x"],
+                                     "domains": {"x": [True, 0]}}),
+        ("oracle", "a tuple", {**one, "constraints": [{"scope": ["x"],
+                                                       "tuples": [[False]]}]}),
+        ("oracle", "'variables'", {"variables": ["x", "x"],
+                                   "domains": {"x": [0, 1]}}),
         ("classify", "'universe'", {"universe": 3}),
         ("classify", "a tuple", {"universe": [0, 1], "relations": [[3]]}),
     ]
+    ragged = {"universe": [0, 1], "relations": [[[0, 1], [1]]]}
+    empty = {"universe": [], "relations": []}
+    for language, field in ((ragged, "arity"), (empty, "'universe'")):
+        wrong_types += [("classify", field, language),
+                        ("solve", field, {**one, "algebra": language})]
     alg = algebra_to_obj(*_affine_pair_algebra())
     pair = {"pair": [0, 1], "label": "affine"}
     for field, damage in [
+            ("'universe'", {"universe": [], "labels": [],
+                            **dict.fromkeys("fpgh", [])}),
+            ("'f'", {"f": [[0, True], [1, 1]]}),
+            ("'pair'", {"labels": [{**pair, "pair": [False, True]}]}),
             ("'f'", {"f": 3}),
             ("'f'", {"f": [[0]]}),
             ("'p'", {"p": [[0, "a"], [1, 1]]}),

@@ -247,6 +247,29 @@ def small_instances(draw):
     return Instance(variables, domains, constraints)
 
 
+@st.composite
+def triangle_instances(draw):
+    """3-5 variables with domains of 2-4 values in a 4-element universe,
+    and 3-12 constraints of arity 2 or 3 on distinct variables, so that
+    most pairs and triples lie in several scopes and the triangles between
+    them tighten the pair tables.  Each relation keeps half or three
+    quarters of the tuples inside its domains, at random."""
+    variables = [f"v{i}" for i in range(draw(st.integers(3, 5)))]
+    domains = {v: draw(st.sets(st.integers(0, 3), min_size=2))
+               for v in variables}
+    constraints = []
+    for _ in range(draw(st.integers(3, 12))):
+        scope = draw(st.permutations(variables))[:draw(st.integers(2, 3))]
+        box = list(itertools.product(*(sorted(domains[v]) for v in scope)))
+        cut = draw(st.integers(1, 2))
+        marks = draw(st.lists(st.integers(0, 3), min_size=len(box),
+                              max_size=len(box)))
+        tuples = [t for t, mark in zip(box, marks) if mark >= cut]
+        constraints.append((tuple(scope), relation(
+            tuples, signature=[domains[v] for v in scope])))
+    return Instance(variables, domains, constraints)
+
+
 def assert_matches_reference(engine, inst):
     ref = reference_fixpoint(inst)
     assert ref is not None
@@ -254,8 +277,8 @@ def assert_matches_reference(engine, inst):
     assert is_3_minimal(engine) and not engine.queue
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(small_instances(), st.data())
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.one_of(small_instances(), triangle_instances()), st.data())
 def test_engine_matches_reference_through_assign_and_undo(inst, data):
     out = establish_3_minimality(inst)
     if out is None:

@@ -5,9 +5,13 @@ import pytest
 from ccsp.classify import EdgeLabeledGraph, PairLabel, MAJORITY, \
     semilattice_label
 from ccsp.errors import InternalInvariantError, InvalidArgumentError
-from ccsp.harness import canonical_a3, canonical_algebra, brute_force_solve
-from ccsp.model import (Instance, close_under_ops, relation, summ,
-                        verify_assignment)
+from ccsp.harness import (GeneratorConfig, brute_force_solve, canonical_a3,
+                          canonical_algebra, gen_algebra, gen_instance,
+                          gen_planted_instance)
+from ccsp.minimality import establish_3_minimality
+from ccsp.model import (Constraint, Instance, close_under_ops, project,
+                        relation, restrict_relation, summ, verify_assignment)
+from ccsp.structure import as_components
 from ccsp.reductions import (arc_free_elements, arc_free_restriction,
                              combine_solutions, exclude_components,
                              find_consistent_collection, idempotent_power,
@@ -78,8 +82,9 @@ def test_split_product_into_unary(a3):
     inst = Instance(["v", "w"], {"v": {0, 1}, "w": {1, 2}},
                     [(("v", "w"), rr)], alg)
     coll = {"v": frozenset({1}), "w": frozenset({1, 2})}
-    subs = split_by_strands(inst, coll)
-    assert len(subs) == 2
+    split = split_by_strands(inst, coll)
+    assert [strand for strand, _sub in split] == [{"v"}, {"w"}]
+    subs = [sub for _strand, sub in split]
     assert [s.variables for s in subs] == [("v",), ("w",)]
     assert subs[0].domains["v"] == {1}
 
@@ -90,9 +95,9 @@ def test_split_single_strand_keeps_instance(a3):
     inst = Instance(["v", "w"], {"v": {1, 2}, "w": {1, 2}},
                     [(("v", "w"), diag)], alg)
     coll = {"v": frozenset({1, 2}), "w": frozenset({1, 2})}
-    subs = split_by_strands(inst, coll)
-    assert len(subs) == 1
-    assert subs[0].variables == ("v", "w")
+    [(strand, sub)] = split_by_strands(inst, coll)
+    assert strand == {"v", "w"}
+    assert sub.variables == ("v", "w")
 
 
 def test_split_disjoint_clusters(a3):
@@ -102,9 +107,75 @@ def test_split_disjoint_clusters(a3):
                     {v: {1, 2} for v in "abcd"},
                     [(("a", "b"), diag), (("c", "d"), diag)], alg)
     coll = {v: frozenset({1, 2}) for v in "abcd"}
-    subs = split_by_strands(inst, coll)
-    assert len(subs) == 2
-    assert set(subs[0].variables) == {"a", "b"}
+    split = split_by_strands(inst, coll)
+    assert len(split) == 2
+    assert split[0][0] == {"a", "b"}
+    assert set(split[0][1].variables) == {"a", "b"}
+
+
+def _strand_constraints(inst, coll, strand):
+    """A strand's constraints by definition: each constraint meeting the
+    strand projected onto its positions there, then restricted to the
+    chosen components; a repeat of an earlier one is dropped."""
+    cons, seen = [], set()
+    for scope, rel in inst.constraints:
+        positions = [i for i, v in enumerate(scope) if v in strand]
+        if not positions:
+            continue
+        sub_scope = tuple(scope[i] for i in positions)
+        sub = restrict_relation(project(rel, positions),
+                                [coll[v] for v in sub_scope])
+        if (sub_scope, sub.tuples) not in seen:
+            seen.add((sub_scope, sub.tuples))
+            cons.append(Constraint(sub_scope, sub))
+    return cons
+
+
+def test_split_cuts_positions_of_one_strand_apart(a3):
+    # the product has a strand per position; the diagonal merges them
+    alg, graph = a3
+    box = relation(itertools.product(range(3), repeat=2))
+    diag = relation([(a, a) for a in range(3)])
+    inst = Instance(["a", "b"], {v: {0, 1, 2} for v in "ab"},
+                    [(("a", "b"), box), (("b", "a"), diag)], alg)
+    coll = {v: frozenset({1, 2}) for v in "ab"}
+    [(strand, sub)] = split_by_strands(inst, coll)
+    assert strand == {"a", "b"}
+    assert list(sub.constraints) == _strand_constraints(inst, coll, strand)
+    assert sub.constraints[0].relation.tuples == set(
+        itertools.product((1, 2), repeat=2))
+
+
+def test_split_matches_project_then_restrict():
+    checked = several = 0
+    for seed in range(400):
+        cfg = GeneratorConfig(seed=seed, domain_size=3 + seed % 2,
+                              variable_count=4 + seed % 7,
+                              constraint_count=3 + seed % 6, max_arity=3)
+        alg, graph = gen_algebra(cfg)
+        gen = gen_planted_instance if seed % 2 else gen_instance
+        out = establish_3_minimality(gen(alg, graph, cfg))
+        if out is None:
+            continue
+        pruned, engine = out
+        if all(as_components(d, graph) == [d]
+               for d in pruned.domains.values()):
+            continue
+        coll = find_consistent_collection(pruned, graph, engine)
+        split = split_by_strands(pruned, coll)
+        strands = [strand for strand, _sub in split]
+        assert all(strands), seed
+        assert sum(map(len, strands)) == len(pruned.variables), seed
+        assert set().union(*strands) == set(pruned.variables), seed
+        for strand, sub in split:
+            assert sub.variables == tuple(v for v in pruned.variables
+                                          if v in strand), seed
+            assert sub.domains == {v: coll[v] for v in strand}, seed
+            assert list(sub.constraints) == _strand_constraints(
+                pruned, coll, strand), seed
+        checked += 1
+        several += len(split) > 1
+    assert checked >= 200 and several >= 50, (checked, several)
 
 
 def test_combine_solutions_verifies(a3):
