@@ -13,8 +13,7 @@ from .classify import (AFFINE, MAJORITY, NONE, SEMILATTICE,
                        classify_language, classify_pair, derive_m,
                        semilattice_label, synthesize_uniform_ops)
 from .errors import (CcspError, InternalInvariantError, InvalidArgumentError,
-                     NPCompleteLanguageError, OracleBudgetError,
-                     SynthesisFailureError)
+                     OracleBudgetError, SynthesisFailureError)
 from .harness import (GeneratorConfig, Rng, brute_force_solve,
                       brute_force_solutions, canonical_a3, canonical_algebra,
                       gen_algebra, gen_instance, gen_planted_instance,
@@ -30,8 +29,8 @@ from .reductions import (RetractionOutcome, arc_free_elements,
                          idempotent_power, maps_from_solution,
                          multiplied_instance, retract_instance,
                          retraction_step, split_by_strands)
-from .solver import (PipelineResult, SolveTrace,
-                     classify_and_solve, lev, solve, solve_semilattice_free)
+from .solver import (PipelineResult, SolveTrace, classify_and_solve, lev,
+                     run_pipeline, solve, solve_semilattice_free)
 from .structure import (LAWS, LawResult, as_components, check_law, find_path,
                         is_linked, is_semilattice_free, strands_of_instance,
                         strands_of_relation, tuple_edge_kind)

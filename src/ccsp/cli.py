@@ -3,26 +3,29 @@
 Subcommands: classify, solve, oracle, laws, gen, bench.  Exit codes:
 0 sat/ok, 1 unsat, 2 invalid input, 3 NP-complete refusal, 4 internal
 invariant failure or any other crash.
+
+`solve` and `oracle` read the instance with `jsonio.instance_from_obj`;
+`solve` resolves the algebra with `jsonio.load_algebra`.  Both hand the
+instance to `solver.run_pipeline`, which runs the checks and gives the
+verdict, and `_report` prints every result and picks its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
-from .classify import check_uniformity_laws, classify_language
+from .classify import classify_language
 from .errors import (InternalInvariantError, InvalidArgumentError,
-                     NPCompleteLanguageError, OracleBudgetError)
-from .harness import (GeneratorConfig, brute_force_solve, gen_algebra,
-                      gen_instance, gen_planted_instance, run_law_suite)
+                     OracleBudgetError)
+from .harness import (GeneratorConfig, gen_algebra, gen_instance,
+                      gen_planted_instance, run_law_suite)
 from .jsonio import (_as_obj, algebra_to_obj, dump, instance_from_obj,
                      instance_to_obj, language_from_obj, load_algebra,
                      result_to_obj)
-from .model import Instance, validate_instance
-from .solver import PipelineResult, solve
+from .solver import PipelineResult, run_pipeline, solve
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -53,66 +56,40 @@ def cmd_classify(args) -> int:
     return EXIT_NP_COMPLETE
 
 
-def _read_instance(path: str) -> tuple[Instance, object]:
-    """The instance in a file, and its raw `algebra` reference (or None),
-    left unresolved."""
-    raw = _as_obj(path)
-    ref = raw.pop("algebra", None)
-    inst, _, _ = instance_from_obj(raw)
-    return inst, ref
+def _report(res: PipelineResult, as_json: bool) -> int:
+    """Print a `solve` or `oracle` result and return its exit code."""
+    if res.status == "np-complete":
+        lines = [f"np-complete language (witness pair {res.witness_pair}); "
+                 "refusing to solve (pass --force-oracle to override)"]
+        code = EXIT_NP_COMPLETE
+    else:
+        forced = res.oracle_used and res.witness_pair is not None
+        lines = [res.status + (" (oracle; language is NP-complete)"
+                               if forced else "")]
+        code = EXIT_OK if res.status == "sat" else EXIT_UNSAT
+    if res.assignment is not None:
+        lines.append(" ".join(f"{v}={a}" for v, a in
+                              sorted(res.assignment.items(), key=str)))
+    _emit(result_to_obj(res), as_json, lines)
+    return code
 
 
 def cmd_solve(args) -> int:
-    inst, ref = _read_instance(args.instance)
-    base_dir = Path(args.instance).parent
+    obj = _as_obj(args.instance)
+    inst = instance_from_obj(obj)
+    ref, base_dir = obj.get("algebra"), Path(args.instance).parent
     if args.algebra:
         ref, base_dir = args.algebra, None
     if ref is None:
         raise InvalidArgumentError(
             "no algebra available: pass --algebra or embed one in the instance")
-    try:
-        alg, graph = load_algebra(ref, base_dir)
-    except NPCompleteLanguageError as exc:
-        witness = exc.witness_pair
-        if args.force_oracle:
-            res = brute_force_solve(inst)
-            obj = result_to_obj(PipelineResult(res.status, res.assignment,
-                                               witness_pair=witness,
-                                               oracle_used=True))
-            _emit(obj, args.json, [f"{res.status} (oracle; language is "
-                                   "NP-complete)"])
-            return EXIT_OK if res.is_sat else EXIT_UNSAT
-        _emit({"status": "np-complete", "witness_pair": list(witness)},
-              args.json, [f"np-complete language (witness pair {witness}); "
-                          "refusing to solve (pass --force-oracle to override)"])
-        return EXIT_NP_COMPLETE
-    inst = Instance(inst.variables, inst.domains, inst.constraints, alg)
-    # verdicts hold only for a lawful algebra that preserves every constraint
-    problems = check_uniformity_laws(alg, graph) or validate_instance(inst)
-    if problems:
-        raise InvalidArgumentError(problems[0])
-    result, trace = solve(inst, alg, graph)
-    pipeline = PipelineResult(result.status, result.assignment,
-                              trace=trace.as_dict())
-    obj = result_to_obj(pipeline)
-    lines = [result.status]
-    if result.is_sat:
-        lines.append(" ".join(f"{v}={a}" for v, a in
-                              sorted(result.assignment.items(), key=str)))
-    _emit(obj, args.json, lines)
-    return EXIT_OK if result.is_sat else EXIT_UNSAT
+    verdict = load_algebra(ref, base_dir)
+    return _report(run_pipeline(inst, verdict, args.force_oracle), args.json)
 
 
 def cmd_oracle(args) -> int:
-    inst, _ref = _read_instance(args.instance)
-    res = brute_force_solve(inst)
-    obj = result_to_obj(PipelineResult(res.status, res.assignment,
-                                       oracle_used=True))
-    lines = [res.status]
-    if res.is_sat:
-        lines.append(" ".join(f"{v}={a}" for v, a in sorted(res.assignment.items())))
-    _emit(obj, args.json, lines)
-    return EXIT_OK if res.is_sat else EXIT_UNSAT
+    return _report(run_pipeline(instance_from_obj(args.instance), None),
+                   args.json)
 
 
 def cmd_laws(args) -> int:
@@ -251,8 +228,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidArgumentError, OracleBudgetError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (InvalidArgumentError, OracleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InternalInvariantError as exc:

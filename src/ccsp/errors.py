@@ -9,15 +9,6 @@ class InvalidArgumentError(CcspError, ValueError):
     """An operation was called with arguments violating its preconditions."""
 
 
-class NPCompleteLanguageError(InvalidArgumentError):
-    """No algebra exists: the language leaves `witness_pair` unlabeled."""
-
-    def __init__(self, witness_pair: tuple[int, int]):
-        super().__init__(f"language is NP-complete (witness pair "
-                         f"{witness_pair}); no algebra exists")
-        self.witness_pair = witness_pair
-
-
 class SynthesisFailureError(CcspError):
     """The joint operation-table search exhausted without a witness.
 

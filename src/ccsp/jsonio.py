@@ -3,8 +3,14 @@
 Algebra files carry the universe, the pair labels (with the operative
 direction for semilattice pairs), and the four tables.  Tables may be
 omitted when a "relations" list is present; loading then classifies the
-language and synthesizes the tables, failing with the NP-complete witness
-when no tables exist.
+language, and the verdict carries either the synthesized tables or the
+NP-complete witness pair.
+
+`_as_obj` is the one reader: every file goes through it, and whatever
+keeps a file from being read as JSON (missing, a directory, not UTF-8,
+not JSON, nested too deep) comes out as an InvalidArgumentError.  An
+instance's "algebra" reference is not resolved when the instance is read;
+`load_algebra` is the one resolver.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from .classify import (AFFINE, MAJORITY, SEMILATTICE,
                        ClassifierVerdict, ConstraintLanguage,
                        EdgeLabeledGraph, PairLabel, classify_language,
                        semilattice_label)
-from .errors import InvalidArgumentError, NPCompleteLanguageError
+from .errors import InvalidArgumentError
 from .model import Algebra, Constraint, Instance, relation
 from .solver import PipelineResult
 
@@ -26,8 +32,16 @@ JsonLike = Union[dict, str, Path]
 
 def _as_obj(source: JsonLike) -> dict:
     """A JSON object given inline or as a file path."""
-    obj = (json.loads(Path(source).read_text())
-           if isinstance(source, (str, Path)) else source)
+    obj = source
+    if isinstance(source, (str, Path)):
+        try:
+            obj = json.loads(Path(source).read_text(encoding="utf-8"))
+        except OSError as exc:  # missing, a directory, unreadable
+            raise InvalidArgumentError(
+                f"cannot read {source}: {exc.strerror}") from None
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON; deep
+            raise InvalidArgumentError(
+                f"{source} is not a JSON file: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidArgumentError(
             f"expected a JSON object, got {type(obj).__name__}")
@@ -57,8 +71,8 @@ def _list(value, what: str, item: Optional[type] = None) -> list:
 
 def _table(value, size: int, depth: int, error: str) -> tuple:
     """value as a nested-tuple table if it is `depth` levels of `size`-long
-    lists around integers; else an InvalidArgumentError(error)."""
-    if depth == 0 and type(value) is int:
+    lists around integers below `size`; else an InvalidArgumentError(error)."""
+    if depth == 0 and type(value) is int and 0 <= value < size:
         return value
     if depth and isinstance(value, list) and len(value) == size:
         return tuple(_table(x, size, depth - 1, error) for x in value)
@@ -94,6 +108,8 @@ def graph_from_obj(size: int, labels: list) -> EdgeLabeledGraph:
     out = {}
     for entry in _list(labels, "'labels'"):
         a, b = _pair(_field(entry, "pair", "label entry"), "'pair'")
+        if (min(a, b), max(a, b)) in out:
+            raise InvalidArgumentError(f"'labels' names the pair {a, b} twice")
         kind = _field(entry, "label", "label entry")
         if kind == SEMILATTICE:
             direction = _pair(entry.get("direction", [min(a, b), max(a, b)]),
@@ -133,9 +149,15 @@ def language_from_obj(source: JsonLike) -> ConstraintLanguage:
     return ConstraintLanguage(size, tuple(rels))
 
 
-def algebra_from_obj(source: JsonLike) -> tuple[Algebra, EdgeLabeledGraph]:
-    """Load tables directly, or synthesize them from bundled relations."""
-    obj = _as_obj(source)
+def load_algebra(ref: JsonLike, base_dir: Optional[Path] = None
+                 ) -> ClassifierVerdict:
+    """Resolve an algebra reference, an inline object or a file path (a
+    relative path taken from `base_dir` when given), to a verdict.  A file
+    with tables is tractable with those tables; a file with relations only
+    gets `classify_language`'s verdict, which may be NP-complete."""
+    if isinstance(ref, str) and base_dir is not None:
+        ref = base_dir / ref  # an absolute ref stays as it is
+    obj = _as_obj(ref)
     universe = obj.get("universe")
     if universe is None:
         raise InvalidArgumentError("algebra file needs a universe")
@@ -144,20 +166,18 @@ def algebra_from_obj(source: JsonLike) -> tuple[Algebra, EdgeLabeledGraph]:
         if size < 1:
             raise InvalidArgumentError("the 'universe' must not be empty")
         tables = [_table(obj[op], size, k, f"'{op}' must be a "
-                         f"{'x'.join([str(size)] * k)} JSON list of integers")
+                         f"{'x'.join([str(size)] * k)} JSON list of "
+                         f"integers below {size}")
                   for op, k in zip("fpgh", (2, 2, 3, 3))]
         alg = Algebra(size, *tables)
         graph = graph_from_obj(size, obj.get("labels", []))
         if len(graph.labels) != size * (size - 1) // 2:
             raise InvalidArgumentError("labels must cover every pair")
-        return alg, graph
+        return ClassifierVerdict("tractable", graph, alg)
     if "relations" not in obj:
         raise InvalidArgumentError(
             "algebra file needs either tables or relations to synthesize from")
-    verdict: ClassifierVerdict = classify_language(language_from_obj(obj))
-    if not verdict.tractable:
-        raise NPCompleteLanguageError(verdict.witness_pair)
-    return verdict.algebra, verdict.graph
+    return classify_language(language_from_obj(obj))
 
 
 def instance_to_obj(inst: Instance,
@@ -177,22 +197,10 @@ def instance_to_obj(inst: Instance,
     return obj
 
 
-def load_algebra(ref: JsonLike, base_dir: Optional[Path] = None
-                 ) -> tuple[Algebra, EdgeLabeledGraph]:
-    """Resolve an algebra reference: an inline object or a file path, a
-    relative path taken from `base_dir` when given."""
-    if isinstance(ref, str) and base_dir is not None:
-        ref = base_dir / ref  # an absolute ref stays as it is
-    return algebra_from_obj(ref)
-
-
-def instance_from_obj(source: JsonLike, base_dir: Optional[Path] = None
-                      ) -> tuple[Instance, Optional[Algebra],
-                                 Optional[EdgeLabeledGraph]]:
+def instance_from_obj(source: JsonLike) -> Instance:
+    """The instance in a JSON object or file, without an algebra: its
+    "algebra" reference, if any, is left to `load_algebra`."""
     obj = _as_obj(source)
-    alg = graph = None
-    if obj.get("algebra") is not None:
-        alg, graph = load_algebra(obj["algebra"], base_dir)
     variables = _list(_field(obj, "variables", "instance"), "'variables'", str)
     if len(set(variables)) < len(variables):
         raise InvalidArgumentError("'variables' names a variable twice")
@@ -210,7 +218,7 @@ def instance_from_obj(source: JsonLike, base_dir: Optional[Path] = None
                   _list(_field(c, "tuples", "constraint"), "'tuples'", list)]
         sig = [domains[v] for v in scope]
         cons.append(Constraint(scope, relation(tuples, signature=sig)))
-    return Instance(variables, domains, cons, alg), alg, graph
+    return Instance(variables, domains, cons)
 
 
 def result_to_obj(res: PipelineResult) -> dict:

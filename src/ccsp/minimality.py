@@ -59,14 +59,6 @@ VarSet = tuple
 _MISSING = object()
 
 
-class _Domains(dict):
-    """Variable domains; a write is frozen and scheduled at the next `run`."""
-
-    def __setitem__(self, v, value):
-        super().__setitem__(v, frozenset(value))
-        self.written.append(v)
-
-
 class Propagator:
     """Worklist fixpoint engine behind establish_3_minimality; every
     constraint starts queued.  A revision is a constraint's index or the
@@ -76,8 +68,7 @@ class Propagator:
         self.inst = inst
         self.variables = inst.variables
         self._order = {v: i for i, v in enumerate(self.variables)}
-        self.doms = _Domains(inst.domains)
-        self.doms.written = []
+        self.doms: dict = dict(inst.domains)
         self.pairs: dict[VarSet, frozenset] = {}
         self.triples: dict[VarSet, frozenset] = {}
         # variable -> materialized pairs and triples on it (a dict: ordered)
@@ -158,7 +149,7 @@ class Propagator:
 
     def _schedule(self, key: VarSet, cause=None):
         """Queue the listed readers of the table on `key`, which the
-        revision `cause` (None: a write from outside) shrank."""
+        revision `cause` (None: an `assign`) shrank."""
         todo = list(self.readers.get(key, ()))
         if len(key) == 2:
             a, b = key
@@ -173,7 +164,7 @@ class Propagator:
     def _store(self, table: dict, k, value):
         if self.trail is not None:
             self.trail.append((table, k, table.get(k, _MISSING)))
-        dict.__setitem__(table, k, value)
+        table[k] = value
 
     def _set(self, key: VarSet, value: frozenset):
         """Replace the table on `key`, materializing a pair or triple."""
@@ -238,10 +229,6 @@ class Propagator:
 
     def run(self) -> bool:
         """Propagate to the global fixpoint; False means inconsistent."""
-        written = self.doms.written
-        for v in written:
-            self._schedule((v,))
-        written.clear()
         queue, queued = self.queue, self.queued
         while queue and not self.failed:
             r = queue.popleft()
@@ -276,10 +263,9 @@ class Propagator:
                 for v in k:
                     del self.keys_on[v][k]
             else:
-                dict.__setitem__(table, k, old)
+                table[k] = old
         self.queue.clear()
         self.queued.clear()
-        self.doms.written.clear()
         self.failed = False
 
     def snapshot(self) -> Instance:
@@ -316,7 +302,7 @@ def is_3_minimal(engine: Propagator) -> bool:
     triples are materialized by then: the shrink that materialized a
     triple's second pair queued the triple's revision."""
     mark, shrinks = engine.mark(), engine.shrinks
-    pending, written = list(engine.queue), list(engine.doms.written)
+    pending = list(engine.queue)
     fresh = set(engine.fresh)
     engine.fresh.update(engine.rels)
     for revisions in (engine.rels, engine.pairs, engine.triples):
@@ -324,6 +310,5 @@ def is_3_minimal(engine: Propagator) -> bool:
     quiet = engine.run() and engine.shrinks == shrinks
     engine.undo(mark)
     engine._queue(pending)
-    engine.doms.written.extend(written)
     engine.fresh = fresh
     return quiet

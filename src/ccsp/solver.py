@@ -28,13 +28,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .classify import (AFFINE, MAJORITY, ClassifierVerdict,
-                       ConstraintLanguage, EdgeLabeledGraph, classify_language,
-                       derive_m, gmm_violations)
+                       ConstraintLanguage, EdgeLabeledGraph,
+                       check_uniformity_laws, classify_language, derive_m,
+                       gmm_violations)
 from .errors import InternalInvariantError, InvalidArgumentError
+from .harness import brute_force_solve
 from .maltsev import solve_with_maltsev
 from .minimality import Propagator, establish_3_minimality
 from .model import (UNSAT, Algebra, Instance, Relation, SolveResult,
-                    restrict_relation, sat, summ, verify_assignment)
+                    restrict_relation, sat, summ, validate_instance,
+                    verify_assignment)
 from .reductions import (combine_solutions, exclude_components,
                          find_consistent_collection, retract_instance,
                          retraction_step, split_by_strands)
@@ -284,9 +287,38 @@ def _relation_drawn_from(rel: Relation, lang: ConstraintLanguage,
     return False
 
 
+def run_pipeline(inst: Instance, verdict: Optional[ClassifierVerdict],
+                 force_oracle: bool = False) -> PipelineResult:
+    """The one path from an instance and its language's verdict to a result.
+
+    First the checks, which raise InvalidArgumentError: the instance's own
+    invariants always, and for a tractable verdict the algebra's laws and
+    that it preserves every constraint, since the solver's verdicts hold
+    only then.  Then an NP-complete verdict is refused, unless
+    `force_oracle` asks the brute-force oracle; without a verdict the
+    oracle answers.  A tractable verdict is solved.
+    """
+    alg = verdict.algebra if verdict else None
+    attached = Instance(inst.variables, inst.domains, inst.constraints, alg)
+    problems = ((check_uniformity_laws(alg, verdict.graph) if alg else [])
+                or validate_instance(attached))
+    if problems:
+        raise InvalidArgumentError(problems[0])
+    if alg is None:
+        witness = verdict.witness_pair if verdict else None
+        if verdict and not force_oracle:
+            return PipelineResult("np-complete", witness_pair=witness)
+        res = brute_force_solve(inst)
+        return PipelineResult(res.status, res.assignment,
+                              witness_pair=witness, oracle_used=True)
+    res, trace = solve(attached, alg, verdict.graph)
+    return PipelineResult(res.status, res.assignment, trace=trace.as_dict())
+
+
 def classify_and_solve(lang: ConstraintLanguage, inst: Instance,
                        force_oracle: bool = False) -> PipelineResult:
-    """Classify the language, then either refuse (NP-complete) or solve.
+    """Check that every constraint is drawn from the language, classify
+    it, and run the pipeline: refuse (NP-complete) or solve.
 
     With `force_oracle`, an NP-complete language is still solved by the
     brute-force oracle and the result flagged accordingly.
@@ -296,17 +328,4 @@ def classify_and_solve(lang: ConstraintLanguage, inst: Instance,
         if not _relation_drawn_from(rel, lang, doms):
             raise InvalidArgumentError(
                 f"constraint over {scope} is not drawn from the language")
-    verdict: ClassifierVerdict = classify_language(lang)
-    if not verdict.tractable:
-        if not force_oracle:
-            return PipelineResult("np-complete",
-                                  witness_pair=verdict.witness_pair)
-        from .harness import brute_force_solve
-        res = brute_force_solve(inst)
-        return PipelineResult(res.status, res.assignment,
-                              witness_pair=verdict.witness_pair,
-                              oracle_used=True)
-    attached = Instance(inst.variables, inst.domains, inst.constraints,
-                        verdict.algebra)
-    res, trace = solve(attached, verdict.algebra, verdict.graph)
-    return PipelineResult(res.status, res.assignment, trace=trace.as_dict())
+    return run_pipeline(inst, classify_language(lang), force_oracle)

@@ -1,10 +1,15 @@
+import copy
+import functools
 import itertools
 import json
+import operator
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from ccsp import cli
+from ccsp import cli, solver
 from ccsp.classify import (AFFINE, EdgeLabeledGraph, PairLabel,
                            canonical_algebra, check_uniformity_laws)
 from ccsp.cli import main
@@ -12,8 +17,8 @@ from ccsp.errors import OracleBudgetError
 from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve,
                           canonical_a3, gen_algebra, gen_instance,
                           gen_planted_instance, run_law_suite)
-from ccsp.jsonio import (algebra_from_obj, algebra_to_obj, instance_from_obj,
-                         instance_to_obj, result_to_obj, var_str)
+from ccsp.jsonio import (algebra_to_obj, instance_from_obj, instance_to_obj,
+                         load_algebra, result_to_obj, var_str)
 from ccsp.model import Algebra, Instance, relation, validate_instance
 from ccsp.solver import PipelineResult, solve
 
@@ -129,15 +134,15 @@ def test_solver_trace_deterministic():
 def test_algebra_roundtrip():
     alg, graph = canonical_a3()
     obj = algebra_to_obj(alg, graph)
-    alg2, graph2 = algebra_from_obj(obj)
-    assert alg2 == alg and graph2 == graph
+    verdict = load_algebra(obj)
+    assert verdict.algebra == alg and verdict.graph == graph
 
 
 def test_algebra_from_relations_only():
     xor = [list(t) for t in itertools.product((0, 1), repeat=3)
            if sum(t) % 2 == 0]
-    alg, graph = algebra_from_obj({"universe": [0, 1], "relations": [xor]})
-    assert alg.h[0][0][1] == 1
+    verdict = load_algebra({"universe": [0, 1], "relations": [xor]})
+    assert verdict.algebra.h[0][0][1] == 1
 
 
 def test_instance_roundtrip(tmp_path):
@@ -148,9 +153,11 @@ def test_instance_roundtrip(tmp_path):
     obj = instance_to_obj(inst, algebra=algebra_to_obj(alg, graph))
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(obj))
-    loaded, alg2, graph2 = instance_from_obj(path)
+    loaded = instance_from_obj(path)
     assert instance_to_obj(loaded) == instance_to_obj(inst)
-    assert alg2 == alg and graph2 == graph
+    assert loaded.algebra is None
+    verdict = load_algebra(json.loads(path.read_text())["algebra"])
+    assert verdict.algebra == alg and verdict.graph == graph
 
 
 def test_result_roundtrip():
@@ -233,10 +240,14 @@ def test_cli_invalid_input(tmp_path, capsys):
             ("'pair'", {"labels": [{**pair, "pair": [False, True]}]}),
             ("'f'", {"f": 3}),
             ("'f'", {"f": [[0]]}),
+            ("'f'", {"f": [[0, 7], [1, 1]]}),
+            ("'f'", {"f": [[0, -1], [1, 1]]}),
             ("'p'", {"p": [[0, "a"], [1, 1]]}),
             ("'g'", {"g": [[0, 1], [1, 0]]}),
             ("'h'", {"h": [[[0, 0], [0, 1]], [[0, 1], [1, 1], [1, 1]]]}),
             ("'labels'", {"labels": 3}),
+            ("'labels'", {"labels": [pair, {**pair, "pair": [1, 0]}]}),
+            ("'labels'", {"labels": [{**pair, "pair": [1, 0]}, pair]}),
             ("'pair'", {"labels": [{**pair, "pair": 3}]}),
             ("'pair'", {"labels": [{**pair, "pair": [0, 1, 1]}]}),
             ("'direction'", {"labels": [{**pair, "label": "semilattice",
@@ -247,6 +258,39 @@ def test_cli_invalid_input(tmp_path, capsys):
         bad.write_text(json.dumps(obj))
         assert main([command, str(bad)]) == 2
         assert field in capsys.readouterr().err
+
+
+EMPTY = '{"variables": [], "domains": {}'
+
+
+@pytest.mark.parametrize("command, content, flags, message", [
+    ("solve", None, [], "Is a directory"),
+    ("oracle", None, [], "Is a directory"),
+    ("solve", EMPTY + "}", ["--algebra", "."], "Is a directory"),
+    ("solve", EMPTY + ', "algebra": ""}', [], "Is a directory"),
+    ("oracle", '{"variables": ["\xff"]}', [], "can't decode"),  # byte 0xff
+    ("oracle", "[" * 100_000 + "]" * 100_000, [], "recursion"),
+], ids=["instance-dir", "oracle-instance-dir", "algebra-flag-dir",
+        "algebra-key-dir", "not-utf8", "deep-nesting"])
+def test_cli_unreadable_input_exits_invalid(tmp_path, capsys, monkeypatch,
+                                            command, content, flags, message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "inst.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content, encoding="latin-1")
+    assert main([command, str(path), *flags]) == cli.EXIT_INVALID == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_oracle_and_solve_reject_an_empty_domain(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"variables": ["x"], "domains": {"x": []},
+                                "algebra": algebra_to_obj(*canonical_a3())}))
+    for command in ("oracle", "solve"):
+        assert main([command, str(path)]) == cli.EXIT_INVALID == 2
+        assert "domain of 'x' is empty" in capsys.readouterr().err
 
 
 def _affine_pair_algebra():
@@ -393,6 +437,78 @@ def test_cli_non_object_entry_exits_invalid(tmp_path, capsys, damage):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+def _fuzz_base() -> dict:
+    """A valid instance file: two constraints (arity 2 and 3) on three
+    variables, with the canonical three-element algebra embedded."""
+    alg, graph = canonical_a3()
+    cfg = GeneratorConfig(seed=0, domain_size=3, variable_count=3,
+                          constraint_count=2, max_arity=3)
+    inst = gen_planted_instance(alg, graph, cfg)
+    return instance_to_obj(inst, algebra=algebra_to_obj(alg, graph))
+
+
+def _paths(node, path=()):
+    """The path of every node below `node`, as tuples of keys and indices."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+FUZZ_BASE = _fuzz_base()
+FUZZ_VALUES = [None, False, True, 0, 1, 7, -1, 0.5, "", "x0", [], [0], [[0]],
+               {}, {"x0": 0}]
+
+
+def _mutate(obj: dict, path: tuple, mutation: tuple) -> dict:
+    """A copy of obj with the node at `path` replaced by a value, deleted,
+    or duplicated: a list item twice in a row, a key's value also under its
+    next sibling key."""
+    obj = copy.deepcopy(obj)
+    *up, last = path
+    parent = functools.reduce(operator.getitem, up, obj)
+    kind, value = mutation
+    if kind == "replace":
+        parent[last] = value
+    elif kind == "delete":
+        del parent[last]
+    elif isinstance(parent, list):
+        parent.insert(last, copy.deepcopy(parent[last]))
+    else:
+        keys = list(parent)
+        sibling = keys[(keys.index(last) + 1) % len(keys)]
+        parent[sibling] = copy.deepcopy(parent[last])
+    return obj
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(list(_paths(FUZZ_BASE))),
+       mutation=st.one_of(st.tuples(st.just("replace"),
+                                    st.sampled_from(FUZZ_VALUES)),
+                          st.tuples(st.sampled_from(["delete", "duplicate"]),
+                                    st.none())))
+@example(path=("algebra",), mutation=("replace", ""))  # a directory
+@example(path=("algebra", "f", 0, 1), mutation=("replace", 7))  # not in 0..2
+@example(path=("algebra", "labels", 0), mutation=("duplicate", None))
+def test_cli_mutated_instance_exits_with_a_documented_code(tmp_path, path,
+                                                           mutation):
+    """One node of a valid instance file replaced (by a value of any JSON
+    type, so also by an integer outside the universe), deleted or
+    duplicated: `solve` and `oracle` still exit 0, 1, 2 or 3, never 4."""
+    file = tmp_path / "inst.json"
+    file.write_text(json.dumps(_mutate(FUZZ_BASE, path, mutation)))
+    for command in ("solve", "oracle"):
+        assert main([command, str(file)]) in (0, 1, 2, 3)
+
+
+def test_fuzz_base_is_a_valid_sat_instance(tmp_path):
+    file = tmp_path / "inst.json"
+    file.write_text(json.dumps(FUZZ_BASE))
+    assert main(["solve", str(file)]) == main(["oracle", str(file)]) == 0
+
+
 def test_cli_key_error_inside_solver_exits_internal(tmp_path, monkeypatch,
                                                     capsys):
     path = tmp_path / "inst.json"
@@ -400,7 +516,7 @@ def test_cli_key_error_inside_solver_exits_internal(tmp_path, monkeypatch,
 
     def broken_solve(*args):
         raise KeyError("x0")
-    monkeypatch.setattr(cli, "solve", broken_solve)
+    monkeypatch.setattr(solver, "solve", broken_solve)
     assert main(["solve", str(path)]) == cli.EXIT_INTERNAL == 4
     assert "KeyError" in capsys.readouterr().err
 

@@ -110,8 +110,7 @@ def test_assign_and_repropagate():
     assert engine.doms["y"] == {1} and engine.doms["z"] == {1}
     engine2 = Propagator(chain_equalities())
     engine2.run()
-    engine2.doms["x"] = {0}
-    assert engine2.run()
+    assert engine2.assign("x", 0)
     assert engine2.doms["z"] == {0}
 
 
