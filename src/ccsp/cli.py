@@ -109,10 +109,12 @@ def cmd_laws(args) -> int:
 
 
 def _parse_weights(raw: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in raw.split(",")]
-    if len(parts) != 3:
-        raise InvalidArgumentError("weights must be three comma-separated numbers")
-    return tuple(parts)
+    try:
+        a, b, c = (float(x) for x in raw.split(","))
+    except ValueError:
+        raise InvalidArgumentError(
+            "weights must be three comma-separated numbers") from None
+    return a, b, c
 
 
 def cmd_gen(args) -> int:
@@ -137,8 +139,12 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     sizes = []
     for chunk in args.sizes.split(","):
-        nv, nc = chunk.lower().split("x")
-        sizes.append((int(nv), int(nc)))
+        try:
+            nv, nc = chunk.lower().split("x")
+            sizes.append((int(nv), int(nc)))
+        except ValueError:
+            raise InvalidArgumentError(
+                f"size {chunk!r} is not VARIABLESxCONSTRAINTS") from None
     rows = []
     for mix_name, weights in (("majority", (0.0, 1.0, 0.0)),
                               ("affine", (0.0, 0.0, 1.0))):

@@ -44,7 +44,8 @@ def oracle_budget() -> int:
 
 def brute_force_solve(inst: Instance,
                       budget: Optional[int] = None) -> SolveResult:
-    """Exact verdict by exhaustive backtracking over all assignments."""
+    """Exact verdict by exhaustive backtracking over all assignments, in
+    variable order and ascending values, on an explicit stack."""
     limit = budget if budget is not None else oracle_budget()
     total = 1
     for v in inst.variables:
@@ -75,20 +76,24 @@ def brute_force_solve(inst: Instance,
                     return False
         return True
 
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
+    choices: list = []  # per position so far: the values still to try
+    i = 0
+    while i < len(order):
         v = order[i]
-        for a in sorted(inst.domains[v]):
+        if i == len(choices):
+            choices.append(iter(sorted(inst.domains[v])))
+        for a in choices[i]:
             assignment[v] = a
-            if feasible(i) and rec(i + 1):
-                return True
+            if feasible(i):
+                i += 1
+                break
+        else:  # every value of v failed: back to the previous position
+            choices.pop()
             del assignment[v]
-        return False
-
-    if rec(0):
-        return sat(assignment)
-    return UNSAT
+            if i == 0:
+                return UNSAT
+            i -= 1
+    return sat(assignment)
 
 
 def brute_force_solutions(inst: Instance,

@@ -238,5 +238,9 @@ def result_to_obj(res: PipelineResult) -> dict:
 def dump(obj: dict, path: Optional[Union[str, Path]] = None) -> str:
     text = json.dumps(obj, indent=2, sort_keys=False)
     if path is not None:
-        Path(path).write_text(text + "\n")
+        try:
+            Path(path).write_text(text + "\n")
+        except OSError as exc:  # a directory, a missing parent, read-only
+            raise InvalidArgumentError(
+                f"cannot write {path}: {exc.strerror}") from None
     return text

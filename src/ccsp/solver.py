@@ -9,16 +9,19 @@ decreases the pair (lev, summ) lexicographically, where lev is the maximal
 size of a domain containing a semilattice edge; this is asserted at run
 time and surfaced as an internal error if violated.
 
-Each node establishes 3-minimality once.  A semilattice-free node hands
-its pruned instance and the engine at that fixpoint to the base solver,
-which assigns on that engine instead of establishing the fixpoint again.
-Base solver dispatch:
-all-majority domains extend greedily, assigning on the node's engine
-(bounded strict width); all-affine domains go to the compact-representation
-solver driven by the derived Maltsev operation; mixed domains fall back to
-complete backtracking search that assigns on the node's engine and undoes
-failed choices through its trail (the generalized majority-minority
-interface admits this fallback at desk scale).
+Each node establishes 3-minimality once.  A semilattice-free node (lev 0)
+hands its pruned instance and the engine at that fixpoint to the base
+solver, which splits it into the connected components of its constraint
+graph and solves each one by one of two solvers:
+
+- a component whose domains hold only affine pairs goes to the
+  compact-representation solver driven by the derived Maltsev operation;
+- any other component is searched on the node's engine, which undoes
+  failed choices through its trail.  On majority-only domains the search
+  never backtracks (bounded strict width) and a dead end is an internal
+  error; on mixed majority/affine domains it stands in for the polynomial
+  generalized majority-minority algorithm (Dalmau, LMCS 2(4), 2006) and
+  may take exponential time.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .model import (UNSAT, Algebra, Instance, Relation, SolveResult,
 from .reductions import (combine_solutions, exclude_components,
                          find_consistent_collection, retract_instance,
                          retraction_step, split_by_strands)
-from .structure import as_components, is_semilattice_free
+from .structure import as_components, connected_groups, is_semilattice_free
 from .structure import strands_of_instance  # unused; perfbench/tracing.py PATCHES wraps it
 
 
@@ -68,70 +71,47 @@ class SolveTrace:
 
 def lev(inst: Instance, graph: EdgeLabeledGraph) -> int:
     """Maximal size of a domain containing a semilattice edge; 0 if none."""
-    worst = 0
-    for v in inst.variables:
-        dom = inst.domains[v]
-        if not is_semilattice_free(dom, graph):
-            worst = max(worst, len(dom))
-    return worst
+    return max((len(dom) for dom in {inst.domains[v] for v in inst.variables}
+                if not is_semilattice_free(dom, graph)), default=0)
 
 
-def _domain_pair_kinds(inst: Instance, graph: EdgeLabeledGraph) -> set[str]:
-    kinds = set()
-    for v in inst.variables:
-        dom = sorted(inst.domains[v])
-        for a, b in itertools.combinations(dom, 2):
-            kinds.add(graph.kind(a, b))
-    return kinds
-
-
-def _assignment_from_domains(engine: Propagator) -> dict:
-    return {v: min(engine.doms[v]) for v in engine.variables}
-
-
-def _solve_majority(engine: Propagator) -> SolveResult:
-    """Greedy extension of an established engine with re-propagation;
-    never dead-ends under a majority polymorphism once the instance is
-    3-minimal and nonempty."""
-    for v in engine.variables:
-        if len(engine.doms[v]) == 1:
-            continue
-        value = min(engine.doms[v])
-        if not engine.assign(v, value):
-            raise InternalInvariantError(
-                f"majority-domain greedy extension dead-ended at {v!r}; "
-                "bounded strict width violated")
-    return sat(_assignment_from_domains(engine))
-
-
-def _solve_affine(inst: Instance, m) -> SolveResult:
-    order = {v: i for i, v in enumerate(inst.variables)}
-    domains = [sorted(inst.domains[v]) for v in inst.variables]
+def _solve_affine(inst: Instance, variables: list, m) -> SolveResult:
+    """Solve the constraints on `variables` with the Maltsev solver."""
+    order = {v: i for i, v in enumerate(variables)}
+    domains = [sorted(inst.domains[v]) for v in variables]
     constraints = []
     for scope, rel in inst.constraints:
-        if not rel.tuples:
-            return UNSAT
-        constraints.append(([order[v] for v in scope], rel.tuples))
+        if scope[0] in order:
+            constraints.append(([order[v] for v in scope], rel.tuples))
     row = solve_with_maltsev(domains, constraints, m)
     if row is None:
         return UNSAT
-    return sat({v: row[order[v]] for v in inst.variables})
+    return sat(dict(zip(variables, row)))
 
 
-def _solve_mixed_backtracking(engine: Propagator) -> SolveResult:
-    """Complete search from an established engine, propagating every choice.
+def _search(engine: Propagator, variables: list,
+            majority: bool) -> SolveResult:
+    """Complete search over `variables` from an established engine,
+    propagating every choice.
 
     Choice points live on an explicit stack and a failed choice is undone
-    through the engine's trail, so depth is not bounded by recursion."""
+    through the engine's trail, so depth is not bounded by recursion.  On
+    majority-only domains (`majority`) a 3-minimal instance never
+    dead-ends (bounded strict width), so a failed choice is an internal
+    error there."""
     stack = []  # (trail mark, variable, values still to try)
     while True:
-        open_vars = [v for v in engine.variables if len(engine.doms[v]) > 1]
+        open_vars = [v for v in variables if len(engine.doms[v]) > 1]
         if not open_vars:
-            return sat(_assignment_from_domains(engine))
+            return sat({v: min(engine.doms[v]) for v in variables})
         v = min(open_vars, key=lambda u: len(engine.doms[u]))
         first, *rest = sorted(engine.doms[v])
         stack.append((engine.mark(), v, rest))
         ok = engine.assign(v, first)
+        if not ok and majority:
+            raise InternalInvariantError(
+                f"search on majority domains dead-ended at {v!r}; "
+                "bounded strict width violated")
         while not ok:
             while stack and not stack[-1][2]:
                 stack.pop()
@@ -143,41 +123,44 @@ def _solve_mixed_backtracking(engine: Propagator) -> SolveResult:
 
 
 def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
-                           alg: Algebra,
-                           engine: Optional[Propagator] = None
-                           ) -> SolveResult:
-    """Base solver: majority, affine, or mixed majority/affine domains.
+                           alg: Algebra, engine: Propagator) -> SolveResult:
+    """Base solver on a semilattice-free 3-minimal instance, one connected
+    component of its constraint graph at a time.
 
     `engine` is the 3-minimality engine that establish_3_minimality
-    returned together with `inst`; the majority and mixed solvers assign on
-    it.  Without it the fixpoint is established here first.
+    returned together with `inst`.  A component whose domains hold only
+    affine pairs goes to the Maltsev solver; any other is searched on the
+    engine.  No engine table links two components, so a search on one
+    leaves the others at the fixpoint.
     """
-    if not is_semilattice_free(inst, graph):
+    if lev(inst, graph):
         raise InvalidArgumentError("instance is not semilattice-free")
     m = derive_m(alg)
+    kinds_of: dict = {}  # domain -> the kinds of its pairs
     for v in inst.variables:
-        bad = gmm_violations(m, inst.domains[v], graph)
-        if bad:
-            raise InternalInvariantError(
-                f"derived operation misbehaves on domain of {v!r}: {bad[0]}")
-    pruned = inst
-    if engine is None:
-        est = establish_3_minimality(inst)
-        if est is None:
+        dom = inst.domains[v]
+        if dom not in kinds_of:
+            bad = gmm_violations(m, dom, graph)
+            if bad:
+                raise InternalInvariantError(
+                    f"derived operation misbehaves on domain of {v!r}: "
+                    f"{bad[0]}")
+            kinds_of[dom] = {graph.kind(a, b)
+                             for a, b in itertools.combinations(sorted(dom), 2)}
+    assignment = {}
+    for variables in connected_groups(inst.variables,
+                                      [c.scope for c in inst.constraints]):
+        kinds = set().union(*(kinds_of[inst.domains[v]] for v in variables))
+        if kinds == {AFFINE}:
+            res = _solve_affine(inst, variables, m)
+        else:
+            res = _search(engine, variables, kinds <= {MAJORITY})
+        if not res.is_sat:
             return UNSAT
-        pruned, engine = est
-    kinds = _domain_pair_kinds(pruned, graph)
-    if kinds <= {MAJORITY}:
-        res = _solve_majority(engine)
-    elif kinds <= {AFFINE}:
-        res = _solve_affine(pruned, m)
-    else:
-        res = _solve_mixed_backtracking(engine)
-    if res.is_sat:
-        bad = verify_assignment(inst, res.assignment)
-        if bad:
-            raise InternalInvariantError(
-                "base solver produced a non-solution")
+        assignment.update(res.assignment)
+    res = sat({v: assignment[v] for v in inst.variables})
+    if verify_assignment(inst, res.assignment):
+        raise InternalInvariantError("base solver produced a non-solution")
     return res
 
 
@@ -211,12 +194,12 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
             if est is None:
                 return UNSAT
             pruned, engine = est
+            here = measure(pruned)
 
-            if is_semilattice_free(pruned, graph):
+            if here[0] == 0:
                 trace.bump("sfree")
                 return solve_semilattice_free(pruned, graph, alg, engine)
 
-            here = measure(pruned)
             has_proper = any(as_components(d, graph) != [d]
                              for d in set(pruned.domains.values()))
 
@@ -241,7 +224,7 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
                 continue
 
             trace.bump("retraction")
-            parent_lev = lev(pruned, graph)
+            parent_lev = here[0]
 
             def sub_solve(sub: Instance, kind: str) -> SolveResult:
                 trace.bump(kind)

@@ -14,6 +14,7 @@ met" from genuine failures.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -42,55 +43,25 @@ def sa_arcs(domain: Iterable[int], graph: EdgeLabeledGraph) -> dict[int, set[int
     return adj
 
 
+def _bfs(adj: dict, start) -> dict:
+    """Breadth-first parents from `start`, neighbours in sorted order; the
+    keys are the nodes `start` reaches, itself (parent None) included."""
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in sorted(adj[u]):
+            if v not in parents:
+                parents[v] = u
+                queue.append(v)
+    return parents
+
+
 def _sink_sccs(adj: dict) -> list[frozenset]:
-    """Sink strongly-connected components, via iterative Tarjan."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    sccs: list[frozenset] = []
-    counter = itertools.count()
-
-    for root in adj:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(adj[root])))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(adj[nxt]))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    v = stack.pop()
-                    on_stack.discard(v)
-                    comp.add(v)
-                    if v == node:
-                        break
-                sccs.append(frozenset(comp))
-
-    sinks = []
-    for comp in sccs:
-        if all(nxt in comp for v in comp for nxt in adj[v]):
-            sinks.append(comp)
+    """Sink strongly-connected components: a node lies in one iff every
+    node it reaches reaches it back, and the component is its reach."""
+    reach = {v: frozenset(_bfs(adj, v)) for v in adj}
+    sinks = {r for v, r in reach.items() if all(v in reach[u] for u in r)}
     return sorted(sinks, key=min)
 
 
@@ -102,12 +73,9 @@ def as_components(domain: Iterable[int], graph: EdgeLabeledGraph) -> list[frozen
     return _sink_sccs(sa_arcs(dom, graph))
 
 
-def is_semilattice_free(target, graph: EdgeLabeledGraph) -> bool:
-    """No semilattice pair inside the domain (or inside any instance domain)."""
-    if isinstance(target, Instance):
-        return all(is_semilattice_free(target.domains[v], graph)
-                   for v in target.variables)
-    dom = sorted(target)
+def is_semilattice_free(domain: Iterable[int], graph: EdgeLabeledGraph) -> bool:
+    """No semilattice pair inside the domain."""
+    dom = sorted(domain)
     return all(graph.kind(a, b) != SEMILATTICE
                for a, b in itertools.combinations(dom, 2))
 
@@ -157,24 +125,13 @@ def find_path(rel: Relation, graph: EdgeLabeledGraph, a: tuple,
     a, b = tuple(a), tuple(b)
     if a not in rel or b not in rel:
         raise InvalidArgumentError("path endpoints must lie in the relation")
-    if a == b:
-        return [a]
-    rows = rel.sorted_tuples()
-    adj = _tuple_sa_adjacency(rows, graph)
-    prev = {a: None}
-    queue = [a]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(adj[u]):
-            if v not in prev:
-                prev[v] = u
-                if v == b:
-                    path = [v]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                queue.append(v)
-    return None
+    prev = _bfs(_tuple_sa_adjacency(rel.sorted_tuples(), graph), a)
+    if b not in prev:
+        return None
+    path = [b]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def as_components_of_relation(rel: Relation,
@@ -210,9 +167,11 @@ def strands_of_relation(rel: Relation,
     return sorted((frozenset(b) for b in blocks.values()), key=min)
 
 
-def strands_of_instance(inst: Instance, coll: dict) -> list[frozenset]:
-    """Merge variables that share a strand of any constraint's relation."""
-    parent = {v: v for v in inst.variables}
+def connected_groups(variables: Sequence, links: Iterable[Sequence]
+                     ) -> list[list]:
+    """Union-find: the groups of `variables` that the links join, each in
+    the order of `variables` and ordered by its first variable."""
+    parent = {v: v for v in variables}
 
     def find(v):
         while parent[v] != v:
@@ -220,23 +179,23 @@ def strands_of_instance(inst: Instance, coll: dict) -> list[frozenset]:
             v = parent[v]
         return v
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for scope, rel in inst.constraints:
-        comps = [coll[v] for v in scope]
-        for block in strands_of_relation(rel, comps):
-            block = sorted(block)
-            for i in block[1:]:
-                union(scope[block[0]], scope[i])
+    for link in links:
+        root = find(link[0])
+        for v in link[1:]:
+            other = find(v)
+            if other != root:
+                parent[other] = root
     groups: dict = {}
-    for v in inst.variables:
-        groups.setdefault(find(v), set()).add(v)
-    order = {v: i for i, v in enumerate(inst.variables)}
-    return sorted((frozenset(g) for g in groups.values()),
-                  key=lambda g: min(order[v] for v in g))
+    for v in variables:
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
+def strands_of_instance(inst: Instance, coll: dict) -> list[frozenset]:
+    """Merge variables that share a strand of any constraint's relation."""
+    links = [[scope[i] for i in block] for scope, rel in inst.constraints
+             for block in strands_of_relation(rel, [coll[v] for v in scope])]
+    return [frozenset(g) for g in connected_groups(inst.variables, links)]
 
 
 def is_linked(rel: Relation) -> bool:
@@ -248,27 +207,11 @@ def is_linked(rel: Relation) -> bool:
         raise InvalidArgumentError("linkedness is defined for binary relations")
     if not rel.tuples:
         return False
-    left: dict[int, set[int]] = {}
-    right: dict[int, set[int]] = {}
+    adj: dict[tuple, set[tuple]] = {}  # (position, value) nodes
     for a, b in rel.tuples:
-        left.setdefault(a, set()).add(b)
-        right.setdefault(b, set()).add(a)
-    start = next(iter(left))
-    seen_l, seen_r = {start}, set()
-    queue: list[tuple[str, int]] = [("L", start)]
-    while queue:
-        side, x = queue.pop()
-        if side == "L":
-            for y in left[x]:
-                if y not in seen_r:
-                    seen_r.add(y)
-                    queue.append(("R", y))
-        else:
-            for y in right[x]:
-                if y not in seen_l:
-                    seen_l.add(y)
-                    queue.append(("L", y))
-    return seen_l == set(left) and seen_r == set(right)
+        adj.setdefault((0, a), set()).add((1, b))
+        adj.setdefault((1, b), set()).add((0, a))
+    return len(_bfs(adj, next(iter(adj)))) == len(adj)
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,28 @@ def test_cli_oracle_and_solve_reject_an_empty_domain(tmp_path, capsys):
         assert "domain of 'x' is empty" in capsys.readouterr().err
 
 
+def test_cli_oracle_beyond_recursion_limit(tmp_path, capsys):
+    names = [f"v{i}" for i in range(1200)]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"variables": names,
+                                "domains": {v: [0] for v in names},
+                                "constraints": []}))
+    assert main(["oracle", str(path)]) == cli.EXIT_OK == 0
+    assert capsys.readouterr().out.startswith("sat\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "algebra", "-o", "."], "cannot write"),
+    (["bench", "--sizes", "3"], "is not VARIABLESxCONSTRAINTS"),
+    (["gen", "instance", "--weights", "a,b,c"], "three comma-separated"),
+], ids=["gen-output-dir", "bench-sizes", "gen-weights"])
+def test_cli_bad_arguments_exit_invalid(tmp_path, capsys, monkeypatch, argv,
+                                        message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == cli.EXIT_INVALID == 2
+    assert message in capsys.readouterr().err
+
+
 def _affine_pair_algebra():
     graph = EdgeLabeledGraph(2, {(0, 1): PairLabel(AFFINE)})
     return canonical_algebra(graph), graph

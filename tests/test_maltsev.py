@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ccsp import solver
 from ccsp.classify import AFFINE, MAJORITY, EdgeLabeledGraph, PairLabel
 from ccsp.harness import Rng, brute_force_solve, canonical_algebra
 from ccsp.maltsev import (Representation, initial_representation, m_closure,
@@ -215,9 +216,10 @@ def parity_instance(n, equations, idle=False):
 
 
 def test_parity_systems_match_gf2_elimination():
-    """3-XOR systems around the satisfiability threshold, n = 10..60; the
-    small ones also with an idle {0,1,2} variable, which sends them to the
-    mixed backtracking solver instead of the Maltsev one."""
+    """3-XOR systems around the satisfiability threshold, n = 10..60, each
+    also with an idle {0,1,2} variable: its own component of the
+    constraint graph, searched apart while the XOR variables still go to
+    the Maltsev solver."""
     verdicts, mismatches = [], []
     for n in (10, 12, 14, 20, 30, 40, 50, 60):
         for density in (0.6, 0.8, 0.9, 1.0, 1.2):
@@ -226,7 +228,7 @@ def test_parity_systems_match_gf2_elimination():
                 equations = [(*rng.sample(range(n), 3), rng.randint(0, 1))
                              for _ in range(int(density * n))]
                 truth = gf2_consistent(equations)
-                for idle in ((False, True) if n <= 14 else (False,)):
+                for idle in (False, True):
                     res, _trace = solve(parity_instance(n, equations, idle),
                                         PARITY_ALG, PARITY_GRAPH)
                     verdicts.append(truth)
@@ -238,6 +240,25 @@ def test_parity_systems_match_gf2_elimination():
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
     assert not mismatches, f"{len(mismatches)} of {len(verdicts)} wrong: " \
         f"{mismatches}"
+
+
+def test_idle_mixed_variable_leaves_xor_variables_to_maltsev(monkeypatch):
+    """One idle {0,1,2} variable (majority pairs {0,2}, {1,2}) must not
+    send the 3-XOR system beside it to the search."""
+    seen = []
+
+    def spy(domains, constraints, m):
+        seen.extend(domains)
+        return solve_with_maltsev(domains, constraints, m)
+
+    monkeypatch.setattr(solver, "solve_with_maltsev", spy)
+    rng = random.Random("idle/40")
+    equations = [(*rng.sample(range(40), 3), rng.randint(0, 1))
+                 for _ in range(36)]
+    res, _trace = solve(parity_instance(40, equations, idle=True),
+                        PARITY_ALG, PARITY_GRAPH)
+    assert res.is_sat == gf2_consistent(equations)
+    assert len(seen) == 40 and all(d == [0, 1] for d in seen)
 
 
 def test_ten_variable_parity_system_matches_brute_force():

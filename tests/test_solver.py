@@ -10,8 +10,8 @@ from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve, canonical_a3,
                           canonical_algebra, gen_algebra, gen_instance)
 from ccsp.minimality import establish_3_minimality
 from ccsp.model import Instance, close_under_ops, relation, verify_assignment
-from ccsp.solver import (_solve_mixed_backtracking, classify_and_solve, lev,
-                         solve, solve_semilattice_free)
+from ccsp.solver import (_search, classify_and_solve, lev, solve,
+                         solve_semilattice_free)
 from test_minimality import mixed_instances
 
 
@@ -30,6 +30,13 @@ def test_lev_measure():
 
 # -- semilattice-free base solver ---------------------------------------------
 
+def base_solve(inst, graph, alg):
+    """The base solver on the instance's 3-minimality fixpoint, as the
+    driver calls it."""
+    pruned, engine = establish_3_minimality(inst)
+    return solve_semilattice_free(pruned, graph, alg, engine)
+
+
 def test_triangle_disequality_unsat():
     graph = graph_of(2, MAJORITY)
     alg = canonical_algebra(graph)
@@ -37,7 +44,8 @@ def test_triangle_disequality_unsat():
     inst = Instance(["x", "y", "z"], {v: {0, 1} for v in "xyz"},
                     [(("x", "y"), neq), (("y", "z"), neq), (("x", "z"), neq)],
                     alg)
-    assert not solve_semilattice_free(inst, graph, alg).is_sat
+    assert establish_3_minimality(inst) is None
+    assert not brute_force_solve(inst).is_sat
 
 
 def test_xor_system_sat():
@@ -48,7 +56,7 @@ def test_xor_system_sat():
     inst = Instance(["x", "y", "z"], {v: {0, 1} for v in "xyz"},
                     [(("x", "y"), xor1), (("y", "z"), xor1), (("x", "z"), eq)],
                     alg)
-    res = solve_semilattice_free(inst, graph, alg)
+    res = base_solve(inst, graph, alg)
     assert res.is_sat
     assert verify_assignment(inst, res.assignment) == []
 
@@ -57,7 +65,7 @@ def test_empty_constraints_sat():
     graph = graph_of(3, MAJORITY)
     alg = canonical_algebra(graph)
     inst = Instance(["x", "y"], {"x": {0, 2}, "y": {1}}, [], alg)
-    res = solve_semilattice_free(inst, graph, alg)
+    res = base_solve(inst, graph, alg)
     assert res.is_sat
 
 
@@ -65,7 +73,7 @@ def test_sl_free_rejects_semilattice_domains():
     alg, graph = canonical_a3()
     inst = Instance(["v"], {"v": {0, 1}}, [], alg)
     with pytest.raises(InvalidArgumentError):
-        solve_semilattice_free(inst, graph, alg)
+        base_solve(inst, graph, alg)
 
 
 def test_mixed_base_solver():
@@ -76,7 +84,7 @@ def test_mixed_base_solver():
                     [(("a", "b"), relation(
                         {t for t in rel.tuples if t[0] in (0, 2) and t[1] in (1, 2)},
                         signature=[{0, 2}, {1, 2}]))], alg)
-    res = solve_semilattice_free(inst, graph, alg)
+    res = base_solve(inst, graph, alg)
     assert res.status == brute_force_solve(inst).status
 
 
@@ -111,7 +119,7 @@ def test_mixed_backtracking_matches_brute_force():
         if out is None:
             assert not want.is_sat, seed
             continue
-        res = _solve_mixed_backtracking(out[1])
+        res = _search(out[1], out[1].variables, majority=False)
         assert res.status == want.status, seed
         if res.is_sat:
             assert verify_assignment(inst, res.assignment) == [], seed
