@@ -27,6 +27,15 @@ q, and on the scope it has at most |dom|^|scope| points.  The same closure
 over all of R's pairs is pr_scope(R) and finds g.  When R's first row
 already lies in C, `restrict` also searches it for a point outside C and
 returns R itself when there is none.
+
+`solve_with_maltsev` grows the representation with the constraints.  Its
+positions are the caller's coordinates in the order they first appear in
+a scope; coordinates in no scope come last.  It starts from the relation
+on zero coordinates, whose one row is empty, and before each constraint C
+appends the coordinates C newly reaches as a product with their domains.
+This is exact: for R = R' x D^rest with C's scope inside the
+coordinates of R', R ∩ C = (R' ∩ C) x D^rest.  So `restrict` walks only the
+coordinates seen so far, and a constraint's scope sits near the end.
 """
 
 from __future__ import annotations
@@ -131,14 +140,34 @@ class Representation:
         return None if hit is None else (self.rows[hit[0]], self.rows[hit[1]])
 
 
+def append_coordinates(rep: Representation,
+                       domains: Sequence[Sequence[int]]) -> Representation:
+    """Representation of R x D_1 x ... x D_k from one of R.
+
+    Every row of R is extended by the least value of each new domain, so
+    the old rows keep their indices and their witness pairs stay valid;
+    each new position gets one block through the first row."""
+    if not domains:
+        return rep
+    out = Representation(n=rep.n + len(domains))
+    if rep.empty or not all(domains):
+        return out
+    tail = tuple(min(d) for d in domains)
+    for row in rep.rows:
+        out._insert(row + tail)
+    out.catalog = dict(rep.catalog)
+    out.coverage = dict(rep.coverage)
+    base = out.rows[0]
+    for q, dom in enumerate(domains, start=rep.n):
+        out.add_block(q, [base[:q] + (a,) + base[q + 1:] for a in sorted(dom)])
+    return out
+
+
 def initial_representation(domains: Sequence[Sequence[int]]) -> Representation:
     """Representation of the full product of the given domains."""
-    base = tuple(min(d) for d in domains)
-    rep = Representation(n=len(domains))
-    rep.add(base)
-    for q, dom in enumerate(domains):
-        rep.add_block(q, [base[:q] + (a,) + base[q + 1:] for a in sorted(dom)])
-    return rep
+    nothing = Representation(n=0)
+    nothing.add(())
+    return append_coordinates(nothing, domains)
 
 
 def member(rep: Representation, target: Row, m: Sequence) -> bool:
@@ -263,13 +292,26 @@ def solve_with_maltsev(domains: Sequence[Sequence[int]],
     """Solve a positional CSP whose relations are all closed under m.
 
     `constraints` pair coordinate lists with allowed-tuple sets.  Returns a
-    solution tuple or None.
+    solution tuple or None.  The representation grows with the
+    constraints: its positions are the caller's coordinates in the order
+    they first appear in a scope.
     """
     if any(len(d) == 0 for d in domains):
         return None
-    rep = initial_representation(domains)
+    position: dict[int, int] = {}  # caller's coordinate -> position
+
+    def grow(rep: Representation, coords: Iterable[int]) -> Representation:
+        fresh = [c for c in dict.fromkeys(coords) if c not in position]
+        for c in fresh:
+            position[c] = len(position)
+        return append_coordinates(rep, [domains[c] for c in fresh])
+
+    rep = initial_representation([])
     for scope, allowed in constraints:
-        rep = restrict(rep, scope, allowed, m)
+        rep = grow(rep, scope)
+        rep = restrict(rep, [position[c] for c in scope], allowed, m)
         if rep.empty:
             return None
-    return min(rep.rows)
+    rep = grow(rep, range(len(domains)))
+    row = min(rep.rows)
+    return tuple([row[position[c]] for c in range(len(domains))])

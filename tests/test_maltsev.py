@@ -6,8 +6,9 @@ import pytest
 from ccsp import solver
 from ccsp.classify import AFFINE, MAJORITY, EdgeLabeledGraph, PairLabel
 from ccsp.harness import Rng, brute_force_solve, canonical_algebra
-from ccsp.maltsev import (Representation, initial_representation, m_closure,
-                          member, restrict, signature_of, solve_with_maltsev)
+from ccsp.maltsev import (Representation, append_coordinates,
+                          initial_representation, m_closure, member, restrict,
+                          signature_of, solve_with_maltsev)
 from ccsp.model import Instance, relation
 from ccsp.solver import solve
 
@@ -62,6 +63,27 @@ def test_initial_representation_generates_full_product():
     for t in full:
         assert member(rep, t, m)
     assert not member(rep, (1, 1, 1), m)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_append_coordinates_generates_the_product(seed):
+    rng = Rng(seed).split("append")
+    size = rng.choice([2, 3, 4])
+    n = rng.randint(1, 4)
+    m = random_maltsev_table(size, rng)
+    domains = [sorted(rng.sample(range(size), rng.randint(1, size)))
+               for _ in range(n)]
+    pool = list(itertools.product(*domains))
+    R = frozenset(m_closure(rng.sample(pool, min(len(pool), 3)), m))
+    rep = random_representation(R, n, rng)
+    extra = [sorted(rng.sample(range(size), rng.randint(1, size)))
+             for _ in range(rng.randint(0, 2))]
+    out = append_coordinates(rep, extra)
+    product = {t + u for t in R for u in itertools.product(*extra)}
+    assert out.n == n + len(extra)
+    assert signature_of(out.rows) == signature_of(product)
+    for t in itertools.product(*domains, *[range(size)] * len(extra)):
+        assert member(out, t, m) == (t in product)
 
 
 @pytest.mark.parametrize("seed", range(150))
@@ -153,6 +175,46 @@ def test_chained_solve_matches_bruteforce(seed):
     assert set(rep.rows) <= set(sols)
 
 
+@pytest.mark.parametrize("seed", range(150))
+def test_grown_solver_matches_bruteforce(seed):
+    """Random instances on relabelled coordinates, constraints shuffled:
+    the last coordinate before relabelling is in no scope, one scope
+    repeats a coordinate, and some instances have no constraint."""
+    rng = Rng(seed).split("grown")
+    size = rng.choice([2, 2, 3, 3, 4])
+    n = rng.randint(2, {2: 8, 3: 6, 4: 5}[size])
+    m = random_maltsev_table(size, rng)
+    domains = [sorted(rng.sample(range(size), rng.randint(1, size)))
+               for _ in range(n)]
+    cons = []
+    for i in range(rng.randint(0, 6) if seed % 10 else 0):
+        scope = [rng.randrange(n - 1) for _ in range(rng.randint(1, 3))]
+        if i == 0:
+            scope.append(scope[0])
+        tuples = list(itertools.product(*[domains[c] for c in scope]))
+        allowed = m_closure(rng.sample(tuples, min(len(tuples),
+                                                   rng.randint(1, 3))), m)
+        cons.append((scope, allowed))
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    rng.shuffle(cons)
+    moved = [None] * n
+    for c, dom in enumerate(domains):
+        moved[relabel[c]] = dom
+    cons = [([relabel[c] for c in scope], allowed) for scope, allowed in cons]
+
+    def fits(t):
+        return all(tuple(t[c] for c in scope) in allowed
+                   for scope, allowed in cons)
+
+    got = solve_with_maltsev(moved, cons, m)
+    assert (got is not None) == any(
+        fits(t) for t in itertools.product(*moved))
+    if got is not None:
+        assert all(v in dom for v, dom in zip(got, moved))
+        assert fits(got)
+
+
 def test_parity_relation_representation():
     """Global parity structure must survive a chain of restrictions."""
     minority = tuple(tuple(tuple((x + y + z) % 2 for z in (0, 1))
@@ -240,6 +302,21 @@ def test_parity_systems_match_gf2_elimination():
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
     assert not mismatches, f"{len(mismatches)} of {len(verdicts)} wrong: " \
         f"{mismatches}"
+
+
+def test_parity_systems_at_ladder_scale_match_gf2_elimination():
+    """One 3-XOR system per density at n = 120 and n = 200."""
+    for n in (120, 200):
+        for density in (0.6, 0.8, 0.9, 1.0, 1.2):
+            rng = random.Random(f"gf2-ladder/{n}/{density}")
+            equations = [(*rng.sample(range(n), 3), rng.randint(0, 1))
+                         for _ in range(int(density * n))]
+            res, _trace = solve(parity_instance(n, equations), PARITY_ALG,
+                                PARITY_GRAPH)
+            assert res.is_sat == gf2_consistent(equations), (n, density)
+            assert not res.is_sat or all(
+                res.assignment[f"x{i}"] ^ res.assignment[f"x{j}"]
+                ^ res.assignment[f"x{k}"] == c for i, j, k, c in equations)
 
 
 def test_idle_mixed_variable_leaves_xor_variables_to_maltsev(monkeypatch):
