@@ -150,8 +150,6 @@ def append_coordinates(rep: Representation,
     if not domains:
         return rep
     out = Representation(n=rep.n + len(domains))
-    if rep.empty or not all(domains):
-        return out
     tail = tuple(min(d) for d in domains)
     for row in rep.rows:
         out._insert(row + tail)

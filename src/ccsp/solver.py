@@ -131,8 +131,7 @@ def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
     returned together with `inst`.  A component whose domains hold only
     affine pairs goes to the Maltsev solver; any other is searched on the
     engine.  No engine table links two components, so a search on one
-    leaves the others at the fixpoint.  A node without an affine pair is
-    searched whole, without finding its components.
+    leaves the others at the fixpoint.
     """
     if lev(inst, graph):
         raise InvalidArgumentError("instance is not semilattice-free")
@@ -148,15 +147,9 @@ def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
                     f"{bad[0]}")
             kinds_of[dom] = {graph.kind(a, b)
                              for a, b in itertools.combinations(sorted(dom), 2)}
-    # Without an affine pair every component is searched, and one search
-    # over all variables makes each component's choices in the same order.
-    if AFFINE in set().union(*kinds_of.values()):
-        groups = connected_groups(inst.variables,
-                                  [c.scope for c in inst.constraints])
-    else:
-        groups = [inst.variables]
     assignment = {}
-    for variables in groups:
+    for variables in connected_groups(inst.variables,
+                                      [c.scope for c in inst.constraints]):
         kinds = set().union(*(kinds_of[inst.domains[v]] for v in variables))
         if kinds == {AFFINE}:
             res = _solve_affine(inst, variables, m)
