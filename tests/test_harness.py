@@ -101,6 +101,26 @@ def test_law_suite_canonical_a3_zero_failures():
     assert report.ok, report.failures
 
 
+def _law_counts(passed, hyp):
+    return {"pass": passed, "fail": 0, "hypothesis-not-met": hyp}
+
+
+@pytest.mark.parametrize("seed,samples,expected", [
+    (0, 200, {"connectivity": (200, 0), "crt": (200, 0),
+              "linked-rectangularity": (194, 6), "max-extension": (200, 0),
+              "path-extension": (52, 148), "rectangularity": (200, 0)}),
+    (4, 1000, {"connectivity": (1000, 0), "crt": (1000, 0),
+               "linked-rectangularity": (958, 42),
+               "max-extension": (1000, 0), "path-extension": (265, 735),
+               "rectangularity": (1000, 0)}),
+])
+def test_law_suite_counts_pinned(seed, samples, expected):
+    cfg = GeneratorConfig(seed=seed, domain_size=4, max_arity=4,
+                          samples=samples)
+    laws = run_law_suite(cfg).as_dict()["laws"]
+    assert laws == {law: _law_counts(*c) for law, c in expected.items()}
+
+
 def test_law_suite_empty_config():
     report = run_law_suite(GeneratorConfig(seed=0, samples=0))
     assert report.samples == 0 and report.ok
