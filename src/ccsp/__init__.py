@@ -16,8 +16,8 @@ from .errors import (CcspError, InternalInvariantError, InvalidArgumentError,
                      OracleBudgetError, SynthesisFailureError)
 from .harness import (GeneratorConfig, Rng, brute_force_solve,
                       brute_force_solutions, canonical_a3, canonical_algebra,
-                      gen_algebra, gen_instance, gen_planted_instance,
-                      run_law_suite)
+                      gen_algebra, gen_instance, gen_planted_instance)
+from .laws import LAWS, LawResult, check_law, run_law_suite
 from .minimality import Propagator, establish_3_minimality, is_3_minimal
 from .model import (UNSAT, Algebra, Constraint, Instance, Relation,
                     SolveResult, apply_componentwise, close_under_ops,
@@ -31,8 +31,8 @@ from .reductions import (RetractionOutcome, arc_free_elements,
                          retraction_step, split_by_strands)
 from .solver import (PipelineResult, SolveTrace, classify_and_solve, lev,
                      run_pipeline, solve, solve_semilattice_free)
-from .structure import (LAWS, LawResult, as_components, check_law, find_path,
-                        is_linked, is_semilattice_free, strands_of_instance,
+from .structure import (as_components, find_path, is_linked,
+                        is_semilattice_free, strands_of_instance,
                         strands_of_relation, tuple_edge_kind)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

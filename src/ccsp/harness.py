@@ -1,5 +1,5 @@
-"""Brute-force oracle, seeded generators, the canonical 3-element algebra,
-and the randomized law suite.
+"""Brute-force oracle, seeded generators and the canonical 3-element
+algebra.
 
 All randomness flows through `Rng`, a splittable seeded generator threaded
 explicitly; identical seeds reproduce identical artifacts bit for bit.
@@ -11,15 +11,14 @@ import hashlib
 import itertools
 import os
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .classify import (AFFINE, MAJORITY, SEMILATTICE, EdgeLabeledGraph,
                        PairLabel, canonical_algebra, semilattice_label)
 from .errors import InvalidArgumentError, OracleBudgetError
 from .model import (UNSAT, Algebra, Constraint, Instance, Relation,
-                    close_under_ops, relation, sat, SolveResult)
-from .structure import as_components, check_law, find_path
+                    close_under_ops, sat, SolveResult)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -39,7 +38,13 @@ class Rng(random.Random):
 
 def oracle_budget() -> int:
     raw = os.environ.get("CCSP_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"CCSP_BUDGET must be an integer, got {raw!r}") from None
 
 
 def brute_force_solve(inst: Instance,
@@ -205,6 +210,9 @@ def gen_planted_instance(alg: Algebra, graph: EdgeLabeledGraph,
                          cfg: GeneratorConfig) -> Instance:
     """Like gen_instance, but every constraint seed includes the image of a
     planted assignment, so the instance is satisfiable by construction."""
+    if min(cfg.variable_count, cfg.max_arity) < 2:
+        raise InvalidArgumentError(
+            "planted instances need at least 2 variables and max arity 2")
     rng = Rng(cfg.seed).split("planted")
     names = [f"x{i}" for i in range(cfg.variable_count)]
     doms = {}
@@ -222,172 +230,3 @@ def gen_planted_instance(alg: Algebra, graph: EdgeLabeledGraph,
         seeds.add(tuple(planted[v] for v in scope))
         cons.append(Constraint(scope, close_under_ops(seeds, alg)))
     return Instance(names, doms, cons, alg)
-
-
-# ---------------------------------------------------------------------------
-# law suite
-
-@dataclass
-class LawSuiteReport:
-    samples: int = 0
-    counts: dict = field(default_factory=dict)  # law -> {pass, fail, hyp}
-    extension_pass: int = 0
-    extension_fail: int = 0
-    failures: list = field(default_factory=list)
-
-    def record(self, law: str, status: str, detail: str = ""):
-        slot = self.counts.setdefault(law, {"pass": 0, "fail": 0,
-                                            "hypothesis-not-met": 0})
-        slot[status] += 1
-        if status == "fail" and len(self.failures) < 20:
-            self.failures.append((law, detail))
-
-    @property
-    def ok(self) -> bool:
-        return (all(c["fail"] == 0 for c in self.counts.values())
-                and self.extension_fail == 0)
-
-    def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "laws": {k: dict(v) for k, v in sorted(self.counts.items())},
-            "collection-extension": {"pass": self.extension_pass,
-                                     "fail": self.extension_fail},
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
-
-
-def _component_of(value: int, comps: Iterable[frozenset]) -> Optional[frozenset]:
-    for c in comps:
-        if value in c:
-            return c
-    return None
-
-
-def _witnessed_components(rel: Relation, graph: EdgeLabeledGraph,
-                          rng: Rng) -> Optional[list[frozenset]]:
-    """Per-position components all containing one common witness tuple."""
-    comps_per_pos = [as_components(rel.signature[i], graph)
-                     for i in range(rel.arity)]
-    rows = rel.sorted_tuples()
-    rng.shuffle(rows)
-    for t in rows:
-        chosen = [_component_of(t[i], comps_per_pos[i])
-                  for i in range(rel.arity)]
-        if all(c is not None for c in chosen):
-            return chosen
-    return None
-
-
-def run_law_suite(cfg: GeneratorConfig,
-                  algebra_graph: Optional[tuple] = None) -> LawSuiteReport:
-    """Exercise the structural laws on seeded random closed relations."""
-    report = LawSuiteReport()
-    root = Rng(cfg.seed)
-    for i in range(cfg.samples):
-        rng = root.split("law", i)
-        if algebra_graph is None:
-            graph = gen_label_graph(cfg.domain_size, rng.split("labels"),
-                                    cfg.label_weights)
-            alg = canonical_algebra(graph)
-        else:
-            alg, graph = algebra_graph
-        arity = rng.randint(2, max(2, cfg.max_arity))
-        domains = []
-        for _ in range(arity):
-            k = rng.randint(1, alg.size)
-            domains.append(frozenset(rng.sample(range(alg.size), k)))
-        rel = gen_closed_relation(alg, domains, rng, seeds=rng.randint(1, 3))
-        report.samples += 1
-
-        comps = _witnessed_components(rel, graph, rng.split("components"))
-        if comps is None:
-            comps = [rng.choice(as_components(rel.signature[i], graph))
-                     for i in range(rel.arity)]
-
-        for law in ("connectivity", "rectangularity", "crt"):
-            res = check_law(law, {"relation": rel, "graph": graph,
-                                  "components": comps})
-            report.record(law, res.status, res.detail)
-
-        # linked-rectangularity on a binary projection re-signed to be subdirect
-        idx = sorted(rng.sample(range(rel.arity), 2))
-        btuples = {(t[idx[0]], t[idx[1]]) for t in rel.tuples}
-        brel = relation(btuples)
-        bcomps = _witnessed_components(brel, graph, rng.split("bin"))
-        res = check_law("linked-rectangularity",
-                        {"relation": brel, "graph": graph,
-                         "components": bcomps or
-                         [as_components(brel.signature[i], graph)[0]
-                          for i in range(2)]})
-        report.record(res.law, res.status, res.detail)
-
-        # max-extension from a component-valued partial tuple
-        k = rng.randint(1, rel.arity - 1) if rel.arity > 1 else 1
-        indices = sorted(rng.sample(range(rel.arity), k))
-        partial = None
-        for t in rel.sorted_tuples():
-            vals = [_component_of(t[i], as_components(rel.signature[i], graph))
-                    for i in indices]
-            if all(v is not None for v in vals):
-                partial = tuple(t[i] for i in indices)
-                break
-        if partial is None:
-            report.record("max-extension", "hypothesis-not-met",
-                          "no component-valued partial tuple")
-        else:
-            res = check_law("max-extension",
-                            {"relation": rel, "graph": graph,
-                             "indices": indices, "partial": partial})
-            report.record(res.law, res.status, res.detail)
-
-        # path-extension over a random projection path
-        pidx = sorted(rng.sample(range(rel.arity),
-                                 rng.randint(1, rel.arity - 1)
-                                 if rel.arity > 1 else 1))
-        from .model import project
-        proj = project(rel, pidx)
-        ptuples = proj.sorted_tuples()
-        path = None
-        for _ in range(4):
-            a = rng.choice(ptuples)
-            b = rng.choice(ptuples)
-            if a == b:
-                continue
-            path = find_path(proj, graph, a, b)
-            if path is not None and len(path) >= 2:
-                break
-            path = None
-        if path is None:
-            report.record("path-extension", "hypothesis-not-met",
-                          "no nontrivial path in the projection")
-        else:
-            res = check_law("path-extension",
-                            {"relation": rel, "graph": graph, "algebra": alg,
-                             "indices": pidx, "path": path})
-            report.record(res.law, res.status, res.detail)
-
-        # consistent-collection extension on the last position
-        if comps is not None and rel.arity >= 2:
-            head = comps[:-1]
-            ok = False
-            for cand in as_components(rel.signature[-1], graph):
-                trial = head + [cand]
-                pairwise = all(
-                    any(t[i] in trial[i] and t[j] in trial[j]
-                        for t in rel.tuples)
-                    for i, j in itertools.combinations(range(rel.arity), 2))
-                if pairwise:
-                    ok = True
-                    break
-            if ok:
-                report.extension_pass += 1
-            else:
-                head_consistent = all(
-                    any(t[i] in head[i] and t[j] in head[j]
-                        for t in rel.tuples)
-                    for i, j in itertools.combinations(range(rel.arity - 1), 2))
-                if head_consistent:
-                    report.extension_fail += 1
-    return report

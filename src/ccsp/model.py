@@ -36,10 +36,6 @@ class Algebra:
     g: tuple[tuple[tuple[int, ...], ...], ...]
     h: tuple[tuple[tuple[int, ...], ...], ...]
 
-    @property
-    def universe(self) -> range:
-        return range(self.size)
-
     def binary_ops(self) -> dict[str, tuple[tuple[int, ...], ...]]:
         return {"f": self.f, "p": self.p}
 

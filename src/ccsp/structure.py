@@ -5,25 +5,17 @@ a -> b and a pair of opposite arcs for each affine pair.  An as-component
 is a sink strongly-connected component of that digraph: internally strongly
 connected, with no semilattice or affine arc leaving it.  The same notions
 lift to relations through componentwise edges between tuples.
-
-`check_law` turns the structural laws the solver relies on into
-executable checks over explicit finite inputs, separating "hypothesis not
-met" from genuine failures.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .classify import AFFINE, MAJORITY, SEMILATTICE, EdgeLabeledGraph
 from .errors import InvalidArgumentError
-from .model import Algebra, Instance, Relation, apply_componentwise, project
-
-LAWS = ("path-extension", "connectivity", "max-extension", "rectangularity",
-        "crt", "linked-rectangularity")
+from .model import Instance, Relation
 
 
 def sa_arcs(domain: Iterable[int], graph: EdgeLabeledGraph) -> dict[int, set[int]]:
@@ -212,254 +204,3 @@ def is_linked(rel: Relation) -> bool:
         adj.setdefault((0, a), set()).add((1, b))
         adj.setdefault((1, b), set()).add((0, a))
     return len(_bfs(adj, next(iter(adj)))) == len(adj)
-
-
-@dataclass(frozen=True)
-class LawResult:
-    law: str
-    status: str  # "pass" | "fail" | "hypothesis-not-met"
-    detail: str = ""
-    counterexample: Optional[tuple] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def _hyp(law, detail):
-    return LawResult(law, "hypothesis-not-met", detail)
-
-
-def _fail(law, detail, ce=None):
-    return LawResult(law, "fail", detail, ce)
-
-
-def _pass(law, detail=""):
-    return LawResult(law, "pass", detail)
-
-
-def _components_ok(rel: Relation, graph, comps) -> Optional[str]:
-    if len(comps) != rel.arity:
-        return "one component per position required"
-    for i, c in enumerate(comps):
-        if not frozenset(c) <= rel.signature[i]:
-            return f"component {i} leaves the signature"
-        if frozenset(c) not in as_components(rel.signature[i], graph):
-            return f"component {i} is not an as-component of its domain"
-    return None
-
-
-def check_law(law: str, inputs: dict) -> LawResult:
-    """Run one structural law on explicit inputs.
-
-    Laws: path-extension, connectivity, max-extension, rectangularity, crt,
-    linked-rectangularity.  Hypotheses are verified first and reported as
-    hypothesis-not-met, distinct from a genuine failure of the conclusion.
-    """
-    if law not in LAWS:
-        raise InvalidArgumentError(f"unknown law {law!r}")
-    handler = {
-        "path-extension": _law_path_extension,
-        "connectivity": _law_connectivity,
-        "max-extension": _law_max_extension,
-        "rectangularity": _law_rectangularity,
-        "crt": _law_crt,
-        "linked-rectangularity": _law_linked_rectangularity,
-    }[law]
-    return handler(inputs)
-
-
-def _law_path_extension(inputs) -> LawResult:
-    law = "path-extension"
-    rel: Relation = inputs["relation"]
-    graph: EdgeLabeledGraph = inputs["graph"]
-    alg: Algebra = inputs["algebra"]
-    indices: Sequence[int] = list(inputs["indices"])
-    path: Sequence[tuple] = [tuple(t) for t in inputs["path"]]
-    if not path:
-        return _hyp(law, "empty path")
-    proj = project(rel, indices)
-    kinds = []
-    for t in path:
-        if t not in proj:
-            return _hyp(law, f"path tuple {t} not in the projection")
-    for u, v in zip(path, path[1:]):
-        kind = tuple_edge_kind(u, v, graph)
-        if kind not in (SEMILATTICE, AFFINE):
-            return _hyp(law, f"step {u}->{v} is not a semilattice/affine edge")
-        kinds.append(kind)
-
-    def extension(target):
-        for t in rel.sorted_tuples():
-            if tuple(t[i] for i in indices) == target:
-                return t
-        return None
-
-    cur = extension(path[0])
-    lifted = [cur]
-    for step_to, kind in zip(path[1:], kinds):
-        w = extension(step_to)
-        if w is None:
-            return _fail(law, f"no extension of {step_to} in the relation")
-        pw = apply_componentwise(alg.p, (w, cur))
-        if kind == SEMILATTICE:
-            nxt = apply_componentwise(alg.f, (cur, pw))
-            lifted.append(nxt)
-        else:
-            mid = apply_componentwise(alg.f, (cur, pw))
-            nxt = apply_componentwise(alg.f, (pw, cur))
-            lifted.extend([mid, nxt])
-        cur = nxt
-
-    cleaned = [lifted[0]]
-    for t in lifted[1:]:
-        if t != cleaned[-1]:
-            cleaned.append(t)
-    for t in cleaned:
-        if t not in rel:
-            return _fail(law, f"constructed tuple {t} leaves the relation", (t,))
-    for u, v in zip(cleaned, cleaned[1:]):
-        if tuple_edge_kind(u, v, graph) not in (SEMILATTICE, AFFINE):
-            return _fail(law, f"constructed step {u}->{v} is not an edge", (u, v))
-    want = [tuple(t[i] for i in indices) for t in cleaned]
-    stripped = [want[0]]
-    for t in want[1:]:
-        if t != stripped[-1]:
-            stripped.append(t)
-    if stripped != list(dict.fromkeys(path)) and stripped != list(path):
-        return _fail(law, f"lifted path projects to {stripped}, wanted {list(path)}")
-    return _pass(law)
-
-
-def _law_connectivity(inputs) -> LawResult:
-    law = "connectivity"
-    rel: Relation = inputs["relation"]
-    graph = inputs["graph"]
-    comps = [frozenset(c) for c in inputs["components"]]
-    if not rel.tuples:
-        return _hyp(law, "empty relation")
-    if not rel.is_subdirect():
-        return _hyp(law, "relation is not subdirect on its factors")
-    bad = _components_ok(rel, graph, comps)
-    if bad:
-        return _hyp(law, bad)
-    inside = frozenset(t for t in rel.tuples
-                       if all(t[i] in comps[i] for i in range(rel.arity)))
-    if not inside:
-        return _hyp(law, "relation misses the component box")
-    for i in range(rel.arity):
-        if {t[i] for t in inside} != set(comps[i]):
-            return _fail(law, f"restriction is not subdirect at position {i}")
-    sinks = as_components_of_relation(rel, graph)
-    if inside not in sinks:
-        return _fail(law, "component box is not an as-component of the relation")
-    return _pass(law)
-
-
-def _law_max_extension(inputs) -> LawResult:
-    law = "max-extension"
-    rel: Relation = inputs["relation"]
-    graph = inputs["graph"]
-    indices: Sequence[int] = list(inputs["indices"])
-    partial: tuple = tuple(inputs["partial"])
-    if not rel.tuples:
-        return _hyp(law, "empty relation")
-    if not rel.is_subdirect():
-        return _hyp(law, "relation is not subdirect on its factors")
-    proj = project(rel, indices)
-    if partial not in proj:
-        return _hyp(law, "partial tuple not in the projection")
-    comp_cache = {i: as_components(rel.signature[i], graph)
-                  for i in range(rel.arity)}
-
-    def in_component(i, v):
-        return any(v in c for c in comp_cache[i])
-
-    for k, i in enumerate(indices):
-        if not in_component(i, partial[k]):
-            return _hyp(law, f"value at projected position {i} is outside "
-                             "every as-component")
-    for t in rel.sorted_tuples():
-        if tuple(t[i] for i in indices) != partial:
-            continue
-        if all(in_component(i, t[i]) for i in range(rel.arity)):
-            return _pass(law)
-    return _fail(law, "no extension with all values inside as-components")
-
-
-def _law_rectangularity(inputs) -> LawResult:
-    law = "rectangularity"
-    rel: Relation = inputs["relation"]
-    graph = inputs["graph"]
-    comps = [frozenset(c) for c in inputs["components"]]
-    if not rel.tuples:
-        return _hyp(law, "empty relation")
-    if not rel.is_subdirect():
-        return _hyp(law, "relation is not subdirect on its factors")
-    bad = _components_ok(rel, graph, comps)
-    if bad:
-        return _hyp(law, bad)
-    if not any(all(t[i] in comps[i] for i in range(rel.arity)) for t in rel.tuples):
-        return _hyp(law, "relation misses the component box")
-    blocks = strands_of_relation(rel, comps)
-    factors = []
-    for block in blocks:
-        idx = sorted(block)
-        proj = project(rel, idx)
-        inside = [t for t in proj.tuples
-                  if all(t[k] in comps[i] for k, i in enumerate(idx))]
-        factors.append((idx, inside))
-    for combo in itertools.product(*(f[1] for f in factors)):
-        merged = [None] * rel.arity
-        for (idx, _), part in zip(factors, combo):
-            for k, i in enumerate(idx):
-                merged[i] = part[k]
-        if tuple(merged) not in rel:
-            return _fail(law, f"product tuple {tuple(merged)} missing",
-                         (tuple(merged),))
-    return _pass(law)
-
-
-def _law_crt(inputs) -> LawResult:
-    law = "crt"
-    rel: Relation = inputs["relation"]
-    graph = inputs["graph"]
-    comps = [frozenset(c) for c in inputs["components"]]
-    if not rel.tuples:
-        return _hyp(law, "empty relation")
-    if not rel.is_subdirect():
-        return _hyp(law, "relation is not subdirect on its factors")
-    bad = _components_ok(rel, graph, comps)
-    if bad:
-        return _hyp(law, bad)
-    for i, j in itertools.combinations(range(rel.arity), 2):
-        if not any(t[i] in comps[i] and t[j] in comps[j] for t in rel.tuples):
-            return _hyp(law, f"collection not consistent at positions ({i},{j})")
-    if any(all(t[i] in comps[i] for i in range(rel.arity)) for t in rel.tuples):
-        return _pass(law)
-    return _fail(law, "pairwise consistent collection misses the relation")
-
-
-def _law_linked_rectangularity(inputs) -> LawResult:
-    law = "linked-rectangularity"
-    rel: Relation = inputs["relation"]
-    graph = inputs["graph"]
-    comps = [frozenset(c) for c in inputs["components"]]
-    if rel.arity != 2:
-        return _hyp(law, "law needs a binary relation")
-    if not rel.tuples:
-        return _hyp(law, "empty relation")
-    if not rel.is_subdirect():
-        return _hyp(law, "relation is not subdirect")
-    if not is_linked(rel):
-        return _hyp(law, "relation is not linked")
-    bad = _components_ok(rel, graph, comps)
-    if bad:
-        return _hyp(law, bad)
-    if not any(t[0] in comps[0] and t[1] in comps[1] for t in rel.tuples):
-        return _hyp(law, "relation misses the component box")
-    for a in sorted(comps[0]):
-        for b in sorted(comps[1]):
-            if (a, b) not in rel:
-                return _fail(law, f"({a},{b}) missing from the box", ((a, b),))
-    return _pass(law)

@@ -16,9 +16,10 @@ from ccsp.cli import main
 from ccsp.errors import OracleBudgetError
 from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve,
                           canonical_a3, gen_algebra, gen_instance,
-                          gen_planted_instance, run_law_suite)
+                          gen_planted_instance)
 from ccsp.jsonio import (algebra_to_obj, instance_from_obj, instance_to_obj,
                          load_algebra, result_to_obj, var_str)
+from ccsp.laws import run_law_suite
 from ccsp.model import Algebra, Instance, relation, validate_instance
 from ccsp.solver import PipelineResult, solve
 
@@ -108,11 +109,13 @@ def _law_counts(passed, hyp):
 @pytest.mark.parametrize("seed,samples,expected", [
     (0, 200, {"connectivity": (200, 0), "crt": (200, 0),
               "linked-rectangularity": (194, 6), "max-extension": (200, 0),
-              "path-extension": (52, 148), "rectangularity": (200, 0)}),
+              "path-extension": (52, 148), "rectangularity": (200, 0),
+              "collection-extension": (200, 0)}),
     (4, 1000, {"connectivity": (1000, 0), "crt": (1000, 0),
                "linked-rectangularity": (958, 42),
                "max-extension": (1000, 0), "path-extension": (265, 735),
-               "rectangularity": (1000, 0)}),
+               "rectangularity": (1000, 0),
+               "collection-extension": (1000, 0)}),
 ])
 def test_law_suite_counts_pinned(seed, samples, expected):
     cfg = GeneratorConfig(seed=seed, domain_size=4, max_arity=4,
@@ -327,7 +330,11 @@ def test_cli_oracle_beyond_recursion_limit(tmp_path, capsys):
     (["gen", "algebra", "-o", "."], "cannot write"),
     (["bench", "--sizes", "3"], "is not VARIABLESxCONSTRAINTS"),
     (["gen", "instance", "--weights", "a,b,c"], "three comma-separated"),
-], ids=["gen-output-dir", "bench-sizes", "gen-weights"])
+    (["gen", "instance", "--planted", "--variables", "1"], "planted"),
+    (["gen", "instance", "--planted", "--max-arity", "1"], "planted"),
+    (["bench", "--sizes", "1x1"], "planted"),
+], ids=["gen-output-dir", "bench-sizes", "gen-weights", "planted-variables",
+        "planted-max-arity", "bench-one-variable"])
 def test_cli_bad_arguments_exit_invalid(tmp_path, capsys, monkeypatch, argv,
                                         message):
     monkeypatch.chdir(tmp_path)
@@ -586,3 +593,13 @@ def test_oracle_env_budget(monkeypatch):
         brute_force_solve(inst)
     monkeypatch.delenv("CCSP_BUDGET")
     assert brute_force_solve(inst).is_sat
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e6"])
+def test_cli_oracle_bad_env_budget_exits_invalid(tmp_path, monkeypatch,
+                                                 capsys, raw):
+    path = tmp_path / "inst.json"
+    assert main(["gen", "instance", "-o", str(path)]) == 0
+    monkeypatch.setenv("CCSP_BUDGET", raw)
+    assert main(["oracle", str(path)]) == cli.EXIT_INVALID == 2
+    assert "CCSP_BUDGET" in capsys.readouterr().err

@@ -7,12 +7,13 @@ from ccsp.classify import (MAJORITY, PairLabel, EdgeLabeledGraph,
 from ccsp.errors import InvalidArgumentError
 from ccsp.harness import (Rng, canonical_a3, gen_closed_relation,
                           gen_label_graph)
+from ccsp.laws import check_law
 from ccsp.model import Instance, close_under_ops, project, relation
 from ccsp.solver import lev
 from ccsp.structure import (as_components, as_components_of_relation,
-                            check_law, find_path, is_linked,
-                            is_semilattice_free, sa_arcs, strands_of_instance,
-                            strands_of_relation, tuple_edge_kind)
+                            find_path, is_linked, is_semilattice_free,
+                            sa_arcs, strands_of_instance, strands_of_relation,
+                            tuple_edge_kind)
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +254,18 @@ def test_max_extension_law(a3):
     res = check_law("max-extension", {"relation": rel, "graph": graph,
                                       "indices": [0], "partial": (1,)})
     assert res.passed
+
+
+def test_collection_extension_law(a3):
+    _, graph = a3
+    # not closed under a3: the head {0} x {0} meets only the last value 0,
+    # which lies in no as-component of {0, 1, 2} (whose only one is {1, 2})
+    rel = relation([(0, 0, 0), (2, 2, 1), (2, 2, 2)])
+
+    def status(comps):
+        return check_law("collection-extension",
+                         {"relation": rel, "graph": graph,
+                          "components": comps}).status
+    assert status([{2}, {2}, {1, 2}]) == "pass"
+    assert status([{0}, {2}, {1, 2}]) == "hypothesis-not-met"
+    assert status([{0}, {0}, {1, 2}]) == "fail"
