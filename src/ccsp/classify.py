@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import InvalidArgumentError, SynthesisFailureError
 from .indicator import (Network, preserves, search_operation,
                         table_from_assignment)
-from .model import Algebra, Relation
+from .model import Algebra, Relation, algebra_violations
 
 SEMILATTICE = "semilattice"
 MAJORITY = "majority"
@@ -41,12 +41,9 @@ class PairLabel:
             raise InvalidArgumentError("semilattice label needs a direction")
 
 
-def semilattice_label(directions: Sequence[tuple[int, int]],
-                      orientation: Optional[tuple[int, int]] = None) -> PairLabel:
+def semilattice_label(directions: Sequence[tuple[int, int]]) -> PairLabel:
     dirs = tuple(dict.fromkeys(tuple(d) for d in directions))
-    if orientation is None:
-        orientation = min(dirs)  # deterministic: smaller source wins
-    return PairLabel(SEMILATTICE, dirs, tuple(orientation))
+    return PairLabel(SEMILATTICE, dirs, min(dirs))  # smaller source wins
 
 
 class EdgeLabeledGraph:
@@ -159,26 +156,22 @@ def classify_pair(lang: ConstraintLanguage, a: int, b: int,
     """
     if a == b or a not in range(lang.size) or b not in range(lang.size):
         raise InvalidArgumentError(f"bad pair ({a}, {b})")
-    rels = lang.relations
     nets = {} if networks is None else networks
     dirs = []
     for (src, snk) in ((min(a, b), max(a, b)), (max(a, b), min(a, b))):
-        found = search_operation(
-            lang.size, 2, rels, pinned={(src, snk): snk, (snk, src): snk},
-            network=_network(lang, 2, nets))
+        found = search_operation(_network(lang, 2, nets),
+                                 {(src, snk): snk, (snk, src): snk})
         if found is not None:
             dirs.append((src, snk))
     if dirs:
         return semilattice_label(dirs)
 
     pinned_maj = {c: _majority_value(*c) for c in _pair_cells(a, b, 3)}
-    if search_operation(lang.size, 3, rels, pinned=pinned_maj,
-                        network=_network(lang, 3, nets)) is not None:
+    if search_operation(_network(lang, 3, nets), pinned_maj) is not None:
         return PairLabel(MAJORITY)
 
     pinned_aff = {c: _minority_value(*c) for c in _pair_cells(a, b, 3)}
-    if search_operation(lang.size, 3, rels, pinned=pinned_aff,
-                        network=_network(lang, 3, nets)) is not None:
+    if search_operation(_network(lang, 3, nets), pinned_aff) is not None:
         return PairLabel(AFFINE)
 
     return PairLabel(NONE)
@@ -280,12 +273,10 @@ def synthesize_uniform_ops(lang: ConstraintLanguage, graph: EdgeLabeledGraph,
         if not preserves(p, rels):
             continue
         ternary = _network(lang, 3, nets)
-        g_cells = search_operation(size, 3, rels, network=ternary,
-                                   pinned=_pair_pins(graph, f, "g"))
+        g_cells = search_operation(ternary, _pair_pins(graph, f, "g"))
         if g_cells is None:
             continue
-        h_cells = search_operation(size, 3, rels, network=ternary,
-                                   pinned=_pair_pins(graph, f, "h"))
+        h_cells = search_operation(ternary, _pair_pins(graph, f, "h"))
         if h_cells is None:
             continue
         g = table_from_assignment(size, 3, g_cells)
@@ -311,15 +302,11 @@ def classify_language(lang: ConstraintLanguage) -> ClassifierVerdict:
     return ClassifierVerdict("tractable", graph, alg)
 
 
-def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph,
-                          relations: Sequence[Relation] = ()) -> list[str]:
+def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph) -> list[str]:
     """Exhaustively verify the uniform pair behavior of f, p, g, h.
 
-    Optionally also checks that every table preserves the given relations.
     Returns violation records with witnesses; empty means all laws hold.
     """
-    from .model import algebra_violations
-
     out = list(algebra_violations(alg))
     f, p, g, h = alg.f, alg.p, alg.g, alg.h
     for (a, b) in graph.pairs():
@@ -341,9 +328,6 @@ def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph,
                 if got != want:
                     out.append(f"{name}{cell}={got} should be {want} "
                                f"on {kind} pair ({a},{b})")
-    for name, tab in alg.all_ops().items():
-        if not preserves(tab, relations):
-            out.append(f"{name} is not a polymorphism of the language")
     return out
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InvalidArgumentError
 from .model import Relation, preservation_witness
@@ -213,10 +213,8 @@ class Network:
             marks[cell] = len(trail)
         return True
 
-    def search(self, pinned: Optional[dict[Cell, int]] = None
-               ) -> Optional[dict[Cell, int]]:
+    def search(self, pinned: dict[Cell, int]) -> Optional[dict[Cell, int]]:
         """The first conservative table preserving the relations, or None."""
-        pinned = pinned or {}
         cut = {}  # pinned cell -> its one value as a bitmask
         for cell, want in pinned.items():
             c = self.index.get(cell)
@@ -249,20 +247,11 @@ class Network:
         return {c: val[index[c]] for c in self.grid}
 
 
-def search_operation(size: int, arity: int, relations: Sequence[Relation],
-                     pinned: Optional[dict[Cell, int]] = None,
-                     network: Optional[Network] = None,
+def search_operation(network: Network, pinned: dict[Cell, int]
                      ) -> Optional[dict[Cell, int]]:
-    """Find a conservative table preserving all relations, or None.
-
-    `pinned` fixes chosen cells (values must be conservative); free cells
-    try their first argument first.  `network`, compiled from the same
-    size, arity and relations, saves compiling them again.
-    """
-    if network is None:
-        network = Network(size, arity, relations)
-    elif (network.size, network.arity) != (size, arity):
-        raise InvalidArgumentError("network compiled for another size or arity")
+    """Find a conservative table preserving the network's relations, or
+    None.  `pinned` fixes chosen cells (values must be conservative); free
+    cells try their first argument first."""
     return network.search(pinned)
 
 
@@ -273,13 +262,6 @@ def table_from_assignment(size: int, arity: int, assignment: dict[Cell, int]):
     for _ in range(arity):
         nested = [tuple(nested[i:i + size]) for i in range(0, len(nested), size)]
     return nested[0]
-
-
-def enumerate_conservative_tables(size: int, arity: int) -> Iterable[dict[Cell, int]]:
-    """All conservative tables; exponential, for small cross-check oracles."""
-    cells = list(itertools.product(range(size), repeat=arity))
-    for values in itertools.product(*map(_options, cells)):
-        yield dict(zip(cells, values))
 
 
 def preserves(table, relations: Sequence[Relation]) -> bool:

@@ -18,7 +18,7 @@ from .errors import InvalidArgumentError
 from .harness import GeneratorConfig, Rng, gen_closed_relation, gen_label_graph
 from .model import (Relation, apply_componentwise, project,
                     restrict_relation)
-from .structure import (as_components, as_components_of_relation, find_path,
+from .structure import (as_components, as_components_of_relation, first_path,
                         is_linked, strands_of_relation, tuple_edge_kind)
 
 
@@ -358,18 +358,15 @@ def run_law_suite(cfg: GeneratorConfig,
                 "relation": rel, "graph": graph, "indices": indices,
                 "partial": partial}))
 
-        # path-extension over a random projection path
+        # path-extension over a path joining a random pair of projection
+        # tuples, when any pair is joined
         pidx = sorted(rng.sample(range(rel.arity),
                                  rng.randint(1, rel.arity - 1)))
         proj = project(rel, pidx)
         ptuples = proj.sorted_tuples()
-        path = None
-        for _ in range(4):
-            a, b = rng.choice(ptuples), rng.choice(ptuples)
-            if a != b:
-                path = find_path(proj, graph, a, b)
-                if path is not None:
-                    break
+        pairs = [(a, b) for a in ptuples for b in ptuples if a != b]
+        rng.shuffle(pairs)
+        path = first_path(proj, graph, pairs)
         if path is None:
             report.record(LawResult("path-extension", "hypothesis-not-met",
                                     "no nontrivial path in the projection"))

@@ -54,48 +54,15 @@ def _step(m: Sequence, t: Row, w: Row, w2: Row, q: int) -> Row:
     return t[:q] + m_apply(m, t[q:], w[q:], w2[q:])
 
 
-def m_closure(seed: Iterable[Row], m: Sequence) -> frozenset[Row]:
-    """Brute-force closure of a tuple set under componentwise m (test oracle)."""
-    done = set(tuple(t) for t in seed)
-    frontier = list(done)
-    while frontier:
-        fresh = []
-        all_rows = list(done)
-        for t in frontier:
-            for u in all_rows:
-                for v in all_rows:
-                    for cand in (m_apply(m, t, u, v), m_apply(m, u, t, v),
-                                 m_apply(m, u, v, t)):
-                        if cand not in done:
-                            done.add(cand)
-                            fresh.append(cand)
-        frontier = fresh
-    return frozenset(done)
-
-
-def signature_of(rows: Iterable[Row]) -> set[tuple[int, int, int]]:
-    """All (q, a, b) with two tuples agreeing before q and valued a, b at q."""
-    rows = list(rows)
-    sig: set[tuple[int, int, int]] = set()
-    for i, t in enumerate(rows):
-        for u in rows[i:]:
-            n = len(t)
-            for q in range(n):
-                sig.add((q, t[q], u[q]))
-                sig.add((q, u[q], t[q]))
-                if t[q] != u[q]:
-                    break
-    return sig
-
-
 class Representation:
-    """Rows plus a witness catalog keyed by (position, value-at, value-to)."""
+    """Rows, a witness catalog keyed by (position, value-at, value-to),
+    and the values the rows take at each position."""
 
     def __init__(self, n: int):
         self.n = n
         self.rows: list[Row] = []
         self.catalog: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self.coverage: dict[tuple[int, int], int] = {}
+        self.values: list[set[int]] = [set() for _ in range(n)]
         self._index: dict[Row, int] = {}
 
     @property
@@ -121,23 +88,19 @@ class Representation:
                 self.catalog.setdefault((q, other[q], row[q]), (j, idx))
                 self.catalog.setdefault((q, row[q], other[q]), (idx, j))
         self._insert(row)
-        for q, a in enumerate(row):
-            self.coverage.setdefault((q, a), idx)
+        for values, a in zip(self.values, row):
+            values.add(a)
         return True
 
     def add_block(self, q: int, rows: Sequence[Row]):
         """Insert rows that agree before q and differ at q, cataloguing
         every pair of them as witnesses at q."""
         idx = [self._insert(row) for row in rows]
+        self.values[q].update([t[q] for t in rows])
         for i, t in zip(idx, rows):
-            self.coverage.setdefault((q, t[q]), i)
             for j, u in zip(idx, rows):
                 if i != j:
                     self.catalog[(q, t[q], u[q])] = (i, j)
-
-    def witness(self, q: int, a: int, b: int) -> Optional[tuple[Row, Row]]:
-        hit = self.catalog.get((q, a, b))
-        return None if hit is None else (self.rows[hit[0]], self.rows[hit[1]])
 
 
 def append_coordinates(rep: Representation,
@@ -154,33 +117,11 @@ def append_coordinates(rep: Representation,
     for row in rep.rows:
         out._insert(row + tail)
     out.catalog = dict(rep.catalog)
-    out.coverage = dict(rep.coverage)
+    out.values[:rep.n] = map(set, rep.values)
     base = out.rows[0]
     for q, dom in enumerate(domains, start=rep.n):
         out.add_block(q, [base[:q] + (a,) + base[q + 1:] for a in sorted(dom)])
     return out
-
-
-def initial_representation(domains: Sequence[Sequence[int]]) -> Representation:
-    """Representation of the full product of the given domains."""
-    nothing = Representation(n=0)
-    nothing.add(())
-    return append_coordinates(nothing, domains)
-
-
-def member(rep: Representation, target: Row, m: Sequence) -> bool:
-    """Decide membership of a tuple in the relation a representation generates."""
-    if rep.empty:
-        return False
-    g = rep.rows[0]
-    for q in range(rep.n):
-        if g[q] == target[q]:
-            continue
-        wit = rep.witness(q, g[q], target[q])
-        if wit is None:
-            return False
-        g = _step(m, g, wit[0], wit[1], q)
-    return g == target
 
 
 def restrict(rep: Representation, scope: Sequence[int],
@@ -199,9 +140,6 @@ def restrict(rep: Representation, scope: Sequence[int],
     def fits(point: Row) -> bool:
         return tuple([point[i] for i in pick]) in allowed
 
-    values_of: dict[int, set[int]] = {}
-    for p, a in rep.coverage:
-        values_of.setdefault(p, set()).add(a)
     pairs_from: dict[tuple[int, int], list[tuple[Row, Row]]] = {}
     for (p, a, _b), (i, j) in rep.catalog.items():
         pairs_from.setdefault((p, a), []).append((rep.rows[i], rep.rows[j]))
@@ -210,7 +148,7 @@ def restrict(rep: Representation, scope: Sequence[int],
     actions: dict[tuple[Row, Row], tuple[Row, Row]] = {}
     upto = [0] * (rep.n + 1)
     for p in range(max(coords, default=-1), -1, -1):
-        for a in values_of[p]:
+        for a in rep.values[p]:
             for w, w2 in pairs_from.get((p, a), ()):
                 actions.setdefault((on_scope(w), on_scope(w2)), (w, w2))
         upto[p] = len(actions)
@@ -254,7 +192,7 @@ def restrict(rep: Representation, scope: Sequence[int],
         return rep
     links: list[tuple[Row, Row]] = []  # the output's witness pairs so far
     for q in range(rep.n):
-        below, everything, covered = len(links), values_of[q], set()
+        below, everything, covered = len(links), rep.values[q], set()
         found, todo, moves = {g[q]: g}, [g[q]], None
         while todo and covered != everything:
             a = todo.pop()
@@ -304,7 +242,8 @@ def solve_with_maltsev(domains: Sequence[Sequence[int]],
             position[c] = len(position)
         return append_coordinates(rep, [domains[c] for c in fresh])
 
-    rep = initial_representation([])
+    rep = Representation(n=0)
+    rep.add(())
     for scope, allowed in constraints:
         rep = grow(rep, scope)
         rep = restrict(rep, [position[c] for c in scope], allowed, m)

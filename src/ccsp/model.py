@@ -184,6 +184,11 @@ def apply_componentwise(table, args: Sequence[ValueTuple]) -> ValueTuple:
     return tuple(out)
 
 
+def _codes_fit(size: int, arity: int) -> bool:
+    """True if tuples of the arity over the universe fit uint64 codes."""
+    return size ** arity <= 2 ** 64
+
+
 def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
     """Least superset of the seed closed under componentwise f, p, g, h.
 
@@ -204,7 +209,7 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
     size = alg.size
     if not all(0 <= v < size for t in seed_tuples for v in t):
         raise InvalidArgumentError("seed values must lie in the universe")
-    if size ** arity > 2 ** 64:
+    if not _codes_fit(size, arity):
         raise InvalidArgumentError(f"{size}**{arity} tuple codes overflow 64 bits")
     signature = [{t[i] for t in seed_tuples} for i in range(arity)]
     product = math.prod(map(len, signature))
@@ -263,8 +268,10 @@ def preservation_witness(table, relations: Sequence[Relation]
 
 def is_closed_under_ops(rel: Relation, alg: Algebra) -> Optional[tuple]:
     """Return None if closed; else a witness (op_name, arg_tuples, image).
-    The closure decides, so the algebra must be conservative."""
-    if not rel.tuples or len(close_under_ops(rel.tuples, alg)) == len(rel):
+    The closure decides, so the algebra must be conservative; where its
+    tuple codes would overflow, the four tables are checked one by one."""
+    if not rel.tuples or (_codes_fit(alg.size, rel.arity) and len(
+            close_under_ops(rel.tuples, alg)) == len(rel)):
         return None
     for name, tab in alg.all_ops().items():
         rows = preservation_witness(tab, (rel,))

@@ -36,17 +36,17 @@ def _constraint_ok(scope: tuple, tuples, chosen: dict) -> bool:
 
 
 def find_consistent_collection(inst: Instance, graph: EdgeLabeledGraph,
-                               engine: Optional[Propagator] = None
-                               ) -> ConsistentCollection:
-    """Extend a collection variable by variable, never backtracking.
+                               engine: Propagator) -> ConsistentCollection:
+    """Extend a collection variable by variable, never backtracking; each
+    choice must meet the constraints and the pair and triple tables of the
+    instance's 3-minimality `engine`.
 
     On a 3-minimal instance some extension always exists; failure to extend
     therefore signals an upstream bug and raises loudly.
     """
     by_var: dict = {v: [] for v in inst.variables}
     tables = [(scope, rel.tuples) for scope, rel in inst.constraints]
-    if engine is not None:
-        tables += engine.nontrivial_items()
+    tables += engine.nontrivial_items()
     for scope, tuples in tables:
         for v in set(scope):
             by_var[v].append((scope, tuples))

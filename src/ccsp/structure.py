@@ -114,16 +114,29 @@ def _tuple_sa_adjacency(rows: Sequence[tuple], graph: EdgeLabeledGraph) -> dict:
 def find_path(rel: Relation, graph: EdgeLabeledGraph, a: tuple,
               b: tuple) -> Optional[list[tuple]]:
     """Breadth-first path from a to b over semilattice/affine tuple edges."""
-    a, b = tuple(a), tuple(b)
-    if a not in rel or b not in rel:
-        raise InvalidArgumentError("path endpoints must lie in the relation")
-    prev = _bfs(_tuple_sa_adjacency(rel.sorted_tuples(), graph), a)
-    if b not in prev:
-        return None
-    path = [b]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
+    return first_path(rel, graph, [(a, b)])
+
+
+def first_path(rel: Relation, graph: EdgeLabeledGraph,
+               pairs: Iterable[tuple[tuple, tuple]]) -> Optional[list[tuple]]:
+    """Breadth-first path over semilattice/affine tuple edges for the first
+    of the ordered pairs (a, b) that one joins, or None.  The edges are
+    found once, and each start's search is run once."""
+    adj = _tuple_sa_adjacency(rel.sorted_tuples(), graph)
+    parents: dict = {}  # start -> its breadth-first parents
+    for a, b in pairs:
+        a, b = tuple(a), tuple(b)
+        if a not in rel or b not in rel:
+            raise InvalidArgumentError("path endpoints must lie in the relation")
+        if a not in parents:
+            parents[a] = _bfs(adj, a)
+        prev = parents[a]
+        if b in prev:
+            path = [b]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return path[::-1]
+    return None
 
 
 def as_components_of_relation(rel: Relation,

@@ -9,8 +9,8 @@ from ccsp.classify import (AFFINE, MAJORITY, NONE, SEMILATTICE,
                            classify_pair, derive_m, synthesize_uniform_ops)
 from ccsp.errors import InvalidArgumentError
 from ccsp.harness import Rng, canonical_a3
-from ccsp.indicator import (Network, enumerate_conservative_tables,
-                            preserves, search_operation, table_from_assignment)
+from ccsp.indicator import (Network, preserves, search_operation,
+                            table_from_assignment)
 from ccsp.model import Algebra, relation
 
 
@@ -50,6 +50,13 @@ def test_classify_pair_rejects_bad_pair():
 
 
 # -- independent cross-check by full table enumeration ----------------------
+
+def enumerate_conservative_tables(size, arity):
+    """Every conservative table, as a cell assignment; exponential."""
+    cells = list(itertools.product(range(size), repeat=arity))
+    for values in itertools.product(*(dict.fromkeys(c) for c in cells)):
+        yield dict(zip(cells, values))
+
 
 def _oracle_label(lang):
     """Expected label of pair {0,1} by enumerating every conservative table."""
@@ -219,7 +226,9 @@ def test_synthesize_free_language_prefers_first_argument():
 
 def test_check_uniformity_clean_on_synthesized_and_canonical():
     v = classify_language(ORDER)
-    assert check_uniformity_laws(v.algebra, v.graph, ORDER.relations) == []
+    assert check_uniformity_laws(v.algebra, v.graph) == []
+    assert all(preserves(tab, ORDER.relations)
+               for tab in v.algebra.all_ops().values())
     alg, graph = canonical_a3()
     assert check_uniformity_laws(alg, graph) == []
 
@@ -298,7 +307,7 @@ def _first_tables(size, arity, rels, pinned):
 
 def _check_first_tables(size, arity, rels, pinned, outcomes):
     want, reverse = _first_tables(size, arity, rels, pinned)
-    got = search_operation(size, arity, rels, pinned=pinned)
+    got = search_operation(Network(size, arity, rels), pinned)
     assert got == want, (size, arity, rels, pinned)
     outcomes["none" if got is None else
              "order-sensitive" if want != reverse else "found"] += 1
@@ -355,7 +364,7 @@ def test_shared_network_searches_as_fresh_ones():
         for a, b in itertools.permutations(range(size), 2):
             pins.append({(a, b): b, (b, a): b})
         for pinned in r.sample(pins, len(pins)) + [{}]:
-            got = search_operation(size, 2, rels, pinned=pinned, network=net)
-            assert got == search_operation(size, 2, rels, pinned=pinned), rels
+            got = search_operation(net, pinned)
+            assert got == search_operation(Network(size, 2, rels), pinned), rels
             found[got is None] += 1
     assert found[True] > 20 and found[False] > 20, found

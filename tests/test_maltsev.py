@@ -6,11 +6,73 @@ import pytest
 from ccsp import solver
 from ccsp.classify import AFFINE, MAJORITY, EdgeLabeledGraph, PairLabel
 from ccsp.harness import Rng, brute_force_solve, canonical_algebra
-from ccsp.maltsev import (Representation, append_coordinates,
-                          initial_representation, m_closure, member, restrict,
-                          signature_of, solve_with_maltsev)
+from ccsp.maltsev import (Representation, append_coordinates, restrict,
+                          solve_with_maltsev)
 from ccsp.model import Instance, relation
 from ccsp.solver import solve
+
+# Oracles for the compact representation.  They apply m on their own and
+# share no helper with `restrict`, whose output they check.
+
+
+def apply_m(m, x, y, z):
+    return tuple(m[a][b][c] for a, b, c in zip(x, y, z))
+
+
+def m_closure(seed, m):
+    """Brute-force closure of a tuple set under componentwise m."""
+    done = set(map(tuple, seed))
+    frontier = list(done)
+    while frontier:
+        fresh = []
+        all_rows = list(done)
+        for t in frontier:
+            for u in all_rows:
+                for v in all_rows:
+                    for cand in (apply_m(m, t, u, v), apply_m(m, u, t, v),
+                                 apply_m(m, u, v, t)):
+                        if cand not in done:
+                            done.add(cand)
+                            fresh.append(cand)
+        frontier = fresh
+    return frozenset(done)
+
+
+def signature_of(rows):
+    """All (q, a, b) with two tuples agreeing before q and valued a, b at q."""
+    rows = list(rows)
+    sig = set()
+    for i, t in enumerate(rows):
+        for u in rows[i:]:
+            for q in range(len(t)):
+                sig.add((q, t[q], u[q]))
+                sig.add((q, u[q], t[q]))
+                if t[q] != u[q]:
+                    break
+    return sig
+
+
+def member(rep, target, m):
+    """Membership in the relation a representation generates: walk its first
+    row to the target one position at a time through the witness pairs.  A
+    pair agreeing before q leaves those positions alone, as m(x, y, y) = x."""
+    if rep.empty:
+        return False
+    g = rep.rows[0]
+    for q in range(rep.n):
+        if g[q] != target[q]:
+            hit = rep.catalog.get((q, g[q], target[q]))
+            if hit is None:
+                return False
+            g = apply_m(m, g, rep.rows[hit[0]], rep.rows[hit[1]])
+    return g == target
+
+
+def product_representation(domains):
+    """Representation of the full product: the empty row, then the domains."""
+    rep = Representation(n=0)
+    rep.add(())
+    return append_coordinates(rep, domains)
 
 
 def random_maltsev_table(size, rng):
@@ -53,9 +115,9 @@ def random_representation(rel, n, rng):
     return rep
 
 
-def test_initial_representation_generates_full_product():
+def test_product_representation_generates_full_product():
     domains = [[0, 1], [0, 2, 3], [1]]
-    rep = initial_representation(domains)
+    rep = product_representation(domains)
     full = set(itertools.product(*domains))
     assert signature_of(rep.rows) == signature_of(full)
     rng = Rng(1)
@@ -82,6 +144,7 @@ def test_append_coordinates_generates_the_product(seed):
     product = {t + u for t in R for u in itertools.product(*extra)}
     assert out.n == n + len(extra)
     assert signature_of(out.rows) == signature_of(product)
+    assert out.values == [{t[q] for t in product} for q in range(out.n)]
     for t in itertools.product(*domains, *[range(size)] * len(extra)):
         assert member(out, t, m) == (t in product)
 
@@ -113,6 +176,7 @@ def test_restrict_matches_bruteforce(seed):
     out = restrict(rep, scope, allowed, m)
     assert set(out.rows) <= R_new
     assert signature_of(out.rows) == signature_of(R_new)
+    assert out.values == [{t[q] for t in R_new} for q in range(n)]
 
     probe = rng.choice(sorted(R))
     assert member(rep, probe, m)
@@ -172,7 +236,7 @@ def test_chained_solve_matches_bruteforce(seed):
     if got is not None:
         assert got in sols
 
-    rep = initial_representation(domains)
+    rep = product_representation(domains)
     for sc, al in cons:
         rep = restrict(rep, sc, al, m)
     assert signature_of(rep.rows) == signature_of(sols)

@@ -38,10 +38,18 @@ def all_majority(n=3):
 
 # -- consistent collections --------------------------------------------------
 
+def collection(inst, graph):
+    """The consistent collection of the 3-minimal instance, which keeps
+    the domains of each instance below."""
+    pruned, engine = establish_3_minimality(inst)
+    assert pruned.domains == inst.domains
+    return find_consistent_collection(pruned, graph, engine)
+
+
 def test_collection_no_constraints(a3):
     alg, graph = a3
     inst = Instance(["v", "w"], {"v": {0, 1, 2}, "w": {0, 1}}, [], alg)
-    coll = find_consistent_collection(inst, graph)
+    coll = collection(inst, graph)
     assert coll["v"] == frozenset({1, 2})
     assert coll["w"] == frozenset({1})
 
@@ -51,14 +59,14 @@ def test_collection_diagonal(a3):
     diag = relation([(a, a) for a in range(3)])
     inst = Instance(["v", "w"], {"v": {0, 1, 2}, "w": {0, 1, 2}},
                     [(("v", "w"), diag)], alg)
-    coll = find_consistent_collection(inst, graph)
+    coll = collection(inst, graph)
     assert coll == {"v": frozenset({1, 2}), "w": frozenset({1, 2})}
 
 
 def test_collection_single_majority_variable():
     alg, graph = all_majority()
     inst = Instance(["v"], {"v": {0, 1, 2}}, [], alg)
-    coll = find_consistent_collection(inst, graph)
+    coll = collection(inst, graph)
     assert coll["v"] == frozenset({0})
 
 
@@ -67,7 +75,7 @@ def test_collection_nonempty_invariant(a3):
     rel = close_under_ops([(1, 1), (2, 2), (1, 2)], alg)
     inst = Instance(["v", "w"], {"v": {1, 2}, "w": {1, 2}},
                     [(("v", "w"), rel)], alg)
-    coll = find_consistent_collection(inst, graph)
+    coll = collection(inst, graph)
     for scope, r in inst.constraints:
         assert any(all(t[i] in coll[scope[i]] for i in range(len(scope)))
                    for t in r.tuples)

@@ -357,6 +357,7 @@ def test_classify_synthesize_solve_three_element_language():
     from ccsp.classify import ConstraintLanguage, check_uniformity_laws, \
         classify_language
     from ccsp.harness import Rng
+    from ccsp.indicator import preserves
 
     alg0, graph0 = canonical_a3()
     rng = Rng(314)
@@ -368,8 +369,9 @@ def test_classify_synthesize_solve_three_element_language():
     lang = ConstraintLanguage(3, tuple(rels))
     verdict = classify_language(lang)
     assert verdict.tractable
-    assert check_uniformity_laws(verdict.algebra, verdict.graph,
-                                 lang.relations) == []
+    assert check_uniformity_laws(verdict.algebra, verdict.graph) == []
+    assert all(preserves(tab, lang.relations)
+               for tab in verdict.algebra.all_ops().values())
     inst = Instance(["u", "v", "w"], {x: {0, 1, 2} for x in "uvw"},
                     [(("u", "v"), rels[0]), (("v", "w"), rels[1])],
                     verdict.algebra)

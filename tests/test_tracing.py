@@ -50,7 +50,8 @@ def test_tracer_wraps_every_target_and_restores_it():
     assert tracer.counts["minimality.pair_tables"] > 0
     assert tracer.counts["classify.pairs"] > 0
     layers = {span[0] for span in tracer.spans}
-    assert {"minimality", "solver.base", "classify.label"} <= layers
+    assert {"minimality", "solver.base", "classify.label",
+            "classify.synthesis", "indicator.search"} <= layers
     assert all(a is b for a, b in zip(patched_targets(tracing), originals))
 
 
