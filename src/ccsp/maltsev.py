@@ -29,13 +29,26 @@ already lies in C, `restrict` also searches it for a point outside C and
 returns R itself when there is none.
 
 `solve_with_maltsev` grows the representation with the constraints.  Its
-positions are the caller's coordinates in the order they first appear in
-a scope; coordinates in no scope come last.  It starts from the relation
-on zero coordinates, whose one row is empty, and before each constraint C
-appends the coordinates C newly reaches as a product with their domains.
-This is exact: for R = R' x D^rest with C's scope inside the
-coordinates of R', R ∩ C = (R' ∩ C) x D^rest.  So `restrict` walks only the
-coordinates seen so far, and a constraint's scope sits near the end.
+positions are the caller's coordinates in the order the constraints, as
+taken (below), first reach them; coordinates in no scope come last.  It
+starts from the relation on zero coordinates, whose one row is empty, and
+before each constraint C appends the coordinates C newly reaches as a
+product with their domains.  This is exact: for R = R' x D^rest with C's
+scope inside the coordinates of R', R ∩ C = (R' ∩ C) x D^rest.  So
+`restrict` walks only the coordinates seen so far, and a constraint's
+scope sits near the end.
+
+The constraints are taken fewest new coordinates first: the next one is
+the pending constraint whose scope holds the fewest coordinates not yet
+in the representation, the earliest in the caller's order on a tie.  The
+order is free, since intersection commutes and the answer is the
+intersection of all constraints.  It is cheaper because each `restrict`
+walks every position of R: a constraint that reaches no new coordinate
+runs on a representation that has not grown, and the constraints of a
+dense subsystem meet before the rest is appended, so a contradiction
+among them empties R at the size of that subsystem.  Taken in the
+caller's order, a random 3-XOR system has over half of its coordinates in
+R after a third of its constraints, and every later constraint walks them.
 """
 
 from __future__ import annotations
@@ -228,9 +241,10 @@ def solve_with_maltsev(domains: Sequence[Sequence[int]],
     """Solve a positional CSP whose relations are all closed under m.
 
     `constraints` pair coordinate lists with allowed-tuple sets.  Returns a
-    solution tuple or None.  The representation grows with the
-    constraints: its positions are the caller's coordinates in the order
-    they first appear in a scope.
+    solution tuple or None.  The constraints are taken fewest new
+    coordinates first, and the representation grows with them: its
+    positions are the caller's coordinates in the order they first appear
+    in a scope taken.
     """
     if any(len(d) == 0 for d in domains):
         return None
@@ -244,7 +258,11 @@ def solve_with_maltsev(domains: Sequence[Sequence[int]],
 
     rep = Representation(n=0)
     rep.add(())
-    for scope, allowed in constraints:
+    pending = list(constraints)
+    while pending:
+        i = min(range(len(pending)), key=lambda j: len(
+            {c for c in pending[j][0] if c not in position}))
+        scope, allowed = pending.pop(i)
         rep = grow(rep, scope)
         rep = restrict(rep, [position[c] for c in scope], allowed, m)
         if rep.empty:

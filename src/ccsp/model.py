@@ -184,9 +184,12 @@ def apply_componentwise(table, args: Sequence[ValueTuple]) -> ValueTuple:
     return tuple(out)
 
 
-def _codes_fit(size: int, arity: int) -> bool:
-    """True if tuples of the arity over the universe fit uint64 codes."""
-    return size ** arity <= 2 ** 64
+def _code_radices(columns: Iterable[Iterable[int]]) -> Optional[list[int]]:
+    """Mixed-radix bases for uint64 tuple codes: one past the largest value
+    in each column, which a conservative image never exceeds.  None if the
+    codes would overflow 64 bits."""
+    radices = [max(column) + 1 for column in columns]
+    return radices if math.prod(radices) <= 2 ** 64 else None
 
 
 def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
@@ -194,11 +197,12 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
 
     Conservative operations never introduce new per-position values, so the
     signature is the seed's per-position value sets and the closure lies in
-    their product.  Tuples are held as sorted codes in base `alg.size`; f, p,
-    g and h are applied in turn to every combination of them until four in
-    a row add no tuple or the product is reached.  An operation's images are
-    built in slices of its first argument, so that one step's arrays stay
-    under a fixed size until a single first argument's images exceed it.
+    their product.  Tuples are held as sorted mixed-radix codes over the
+    values they take (`_code_radices`); f, p, g and h are applied in turn
+    to every combination of them until four in a row add no tuple or the
+    product is reached.  An operation's images are built in slices of its
+    first argument, so that one step's arrays stay under a fixed size until
+    a single first argument's images exceed it.
     """
     seed_tuples = [tuple(t) for t in seed]
     if not seed_tuples:
@@ -206,21 +210,26 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
     arity = len(seed_tuples[0])
     if any(len(t) != arity for t in seed_tuples):
         raise InvalidArgumentError("seed tuples must share arity")
-    size = alg.size
-    if not all(0 <= v < size for t in seed_tuples for v in t):
+    if not all(0 <= v < alg.size for t in seed_tuples for v in t):
         raise InvalidArgumentError("seed values must lie in the universe")
-    if not _codes_fit(size, arity):
-        raise InvalidArgumentError(f"{size}**{arity} tuple codes overflow 64 bits")
     signature = [{t[i] for t in seed_tuples} for i in range(arity)]
+    radices = _code_radices(signature)
+    if radices is None:
+        raise InvalidArgumentError(
+            f"codes of {arity}-tuples over their values overflow 64 bits")
     product = math.prod(map(len, signature))
-    # uint64 throughout: numpy promotes int64 with uint64 to float64
-    powers = np.array([size ** i for i in range(arity)], dtype=np.uint64)
+    # uint64 throughout: numpy promotes int64 with uint64 to float64.  A
+    # position of radix 1 always reads 0, so its power is 1: the running
+    # product there may already be 2**64.
+    powers = np.array([math.prod(radices[:i]) if r > 1 else 1
+                       for i, r in enumerate(radices)], dtype=np.uint64)
+    bases = np.array(radices, dtype=np.uint64)[:, None]
     codes = np.unique(np.array(seed_tuples, dtype=np.uint64) @ powers)
     tables = itertools.cycle([np.array(t, dtype=np.uint64)
                               for t in (alg.f, alg.p, alg.g, alg.h)])
     idle = 0
     while True:
-        cols = codes // powers[:, None] % np.uint64(size)  # (arity, n)
+        cols = codes // powers[:, None] % bases  # (arity, n)
         if idle == 4 or len(codes) == product:
             return relation(map(tuple, cols.T.tolist()), signature=signature)
         tab = next(tables)
@@ -270,7 +279,7 @@ def is_closed_under_ops(rel: Relation, alg: Algebra) -> Optional[tuple]:
     """Return None if closed; else a witness (op_name, arg_tuples, image).
     The closure decides, so the algebra must be conservative; where its
     tuple codes would overflow, the four tables are checked one by one."""
-    if not rel.tuples or (_codes_fit(alg.size, rel.arity) and len(
+    if not rel.tuples or (_code_radices(zip(*rel.tuples)) is not None and len(
             close_under_ops(rel.tuples, alg)) == len(rel)):
         return None
     for name, tab in alg.all_ops().items():

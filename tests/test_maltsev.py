@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ccsp import solver
+from ccsp import maltsev, solver
 from ccsp.classify import AFFINE, MAJORITY, EdgeLabeledGraph, PairLabel
 from ccsp.harness import Rng, brute_force_solve, canonical_algebra
 from ccsp.maltsev import (Representation, append_coordinates, restrict,
@@ -205,11 +205,10 @@ def test_restrict_returns_r_when_its_scope_projection_is_allowed(seed):
         assert member(out, t, m) == (t in R)
 
 
-@pytest.mark.parametrize("seed", range(120))
-def test_chained_solve_matches_bruteforce(seed):
-    """One coordinate is in no scope, the first scope repeats a
-    coordinate, and some instances have no constraint."""
-    rng = Rng(seed).split("chain")
+def random_maltsev_instance(rng):
+    """Domains, zero to six constraints closed under a random Maltsev table
+    m, and m.  One coordinate is in no scope and the first scope repeats a
+    coordinate."""
     size = rng.choice([2, 2, 3, 4])
     n = rng.choice([3, 4, 5, 6])
     m = random_maltsev_table(size, rng)
@@ -229,9 +228,21 @@ def test_chained_solve_matches_bruteforce(seed):
         if not allowed:
             allowed = frozenset(base[:1])
         cons.append((scope, allowed))
-    got = solve_with_maltsev(domains, cons, m)
-    sols = [t for t in itertools.product(*domains)
+    return domains, cons, m
+
+
+def solutions(domains, cons):
+    return [t for t in itertools.product(*domains)
             if all(tuple(t[s] for s in sc) in al for sc, al in cons)]
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_chained_solve_matches_bruteforce(seed):
+    """One coordinate is in no scope, the first scope repeats a
+    coordinate, and some instances have no constraint."""
+    domains, cons, m = random_maltsev_instance(Rng(seed).split("chain"))
+    got = solve_with_maltsev(domains, cons, m)
+    sols = solutions(domains, cons)
     assert (got is not None) == bool(sols)
     if got is not None:
         assert got in sols
@@ -243,17 +254,19 @@ def test_chained_solve_matches_bruteforce(seed):
     assert set(rep.rows) <= set(sols)
 
 
+MINORITY = tuple(tuple(tuple(x ^ y ^ z for z in (0, 1)) for y in (0, 1))
+                 for x in (0, 1))
+
+
 def test_parity_relation_representation():
     """Global parity structure must survive a chain of restrictions."""
-    minority = tuple(tuple(tuple((x + y + z) % 2 for z in (0, 1))
-                           for y in (0, 1)) for x in (0, 1))
     n = 6
     domains = [[0, 1]] * n
     even = [t for t in itertools.product((0, 1), repeat=3) if sum(t) % 2 == 0]
     odd = [t for t in itertools.product((0, 1), repeat=3) if sum(t) % 2 == 1]
     cons = [((0, 1, 2), even), ((2, 3, 4), even), ((4, 5, 0), odd),
             ((1, 3, 5), even)]
-    got = solve_with_maltsev(domains, cons, minority)
+    got = solve_with_maltsev(domains, cons, MINORITY)
     sols = [t for t in itertools.product((0, 1), repeat=n)
             if all(tuple(t[s] for s in sc) in set(al) for sc, al in cons)]
     assert (got is not None) == bool(sols)
@@ -262,7 +275,7 @@ def test_parity_relation_representation():
     # and an unsatisfiable parity cycle
     cons_bad = [((0, 1, 2), even), ((2, 3, 4), even), ((4, 5, 0), even),
                 ((1, 3, 5), even), ((0, 1, 2), odd)]
-    assert solve_with_maltsev(domains, cons_bad, minority) is None
+    assert solve_with_maltsev(domains, cons_bad, MINORITY) is None
 
 
 # The canonical algebra of {0,1} affine and {0,2}, {1,2} majority: 3-XOR
@@ -293,6 +306,49 @@ def gf2_consistent(equations):
         if not mask and rhs:
             return False
     return True
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_is_independent_of_constraint_order(seed):
+    """Shuffled copies of one constraint list get the verdict of brute
+    force (a random Maltsev table) or of GF(2) elimination (a 3-XOR system
+    near the threshold), and every returned row satisfies every
+    constraint."""
+    rng = Rng(seed).split("order")
+    domains, cons, m = random_maltsev_instance(rng)
+    small = (domains, cons, m, bool(solutions(domains, cons)))
+    n = rng.randint(20, 40)
+    equations = [(*rng.sample(range(n), 3), rng.randint(0, 1))
+                 for _ in range(rng.randint(n * 8 // 10, n))]
+    xor = ([[0, 1]] * n, [((i, j, k), XOR[c].tuples)
+                          for i, j, k, c in equations],
+           MINORITY, gf2_consistent(equations))
+    for domains, cons, m, truth in (small, xor):
+        for _ in range(4):
+            got = solve_with_maltsev(domains, rng.sample(cons, len(cons)), m)
+            assert (got is not None) == truth
+            assert got is None or all(tuple(got[s] for s in sc) in al
+                                      for sc, al in cons)
+
+
+def test_contradiction_between_first_and_last_constraint_ends_at_once(
+        monkeypatch):
+    """The last constraint reaches no new coordinate once the first has
+    been taken, so it is taken second and empties the representation."""
+    calls = []
+
+    def spy(rep, scope, allowed, m):
+        calls.append(scope)
+        return restrict(rep, scope, allowed, m)
+
+    monkeypatch.setattr(maltsev, "restrict", spy)
+    rng = random.Random("first-and-last")
+    middle = [(*rng.sample(range(3, 40), 3), rng.randint(0, 1))
+              for _ in range(30)]
+    equations = [(0, 1, 2, 0), *middle, (2, 0, 1, 1)]
+    cons = [((i, j, k), XOR[c].tuples) for i, j, k, c in equations]
+    assert solve_with_maltsev([[0, 1]] * 40, cons, MINORITY) is None
+    assert len(calls) == 2
 
 
 def parity_instance(n, equations, idle=False):
@@ -333,18 +389,24 @@ def test_parity_systems_match_gf2_elimination():
 
 
 def test_parity_systems_at_ladder_scale_match_gf2_elimination():
-    """One 3-XOR system per density at n = 120 and n = 200."""
-    for n in (120, 200):
-        for density in (0.6, 0.8, 0.9, 1.0, 1.2):
-            rng = random.Random(f"gf2-ladder/{n}/{density}")
-            equations = [(*rng.sample(range(n), 3), rng.randint(0, 1))
-                         for _ in range(int(density * n))]
-            res, _trace = solve(parity_instance(n, equations), PARITY_ALG,
-                                PARITY_GRAPH)
-            assert res.is_sat == gf2_consistent(equations), (n, density)
-            assert not res.is_sat or all(
-                res.assignment[f"x{i}"] ^ res.assignment[f"x{j}"]
-                ^ res.assignment[f"x{k}"] == c for i, j, k, c in equations)
+    """One 3-XOR system per density at n = 120 and n = 200, and at n = 400
+    one on each side of the threshold."""
+    cases = [(n, density) for n in (120, 200)
+             for density in (0.6, 0.8, 0.9, 1.0, 1.2)]
+    top = []
+    for n, density in cases + [(400, 0.9), (400, 1.0)]:
+        rng = random.Random(f"gf2-ladder/{n}/{density}")
+        equations = [(*rng.sample(range(n), 3), rng.randint(0, 1))
+                     for _ in range(int(density * n))]
+        res, _trace = solve(parity_instance(n, equations), PARITY_ALG,
+                            PARITY_GRAPH)
+        assert res.is_sat == gf2_consistent(equations), (n, density)
+        assert not res.is_sat or all(
+            res.assignment[f"x{i}"] ^ res.assignment[f"x{j}"]
+            ^ res.assignment[f"x{k}"] == c for i, j, k, c in equations)
+        if n == 400:
+            top.append(res.is_sat)
+    assert top == [True, False]
 
 
 def test_idle_mixed_variable_leaves_xor_variables_to_maltsev(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +199,27 @@ def test_close_guards_the_code_space():
     assert close_under_ops(ends, alg).tuples == ends
     mixed = {(0, 1) * 32, (1, 0) * 32, (1, 1) * 32}
     assert close_under_ops(mixed, alg).tuples == mixed | {(0, 0) * 32}
+
+
+def test_closure_check_codes_a_wide_relation_over_its_values(a3, monkeypatch):
+    """{0,1}^8 x 0^33 would need 3**41 codes over the universe, but only
+    2**8 over the values it takes: the closure decides, not the table by
+    table check."""
+    alg, _ = a3
+    rel = relation([t + (0,) * 33
+                    for t in itertools.product((0, 1), repeat=8)])
+    monkeypatch.setattr(model, "preservation_witness", None)
+    start = time.perf_counter()
+    assert is_closed_under_ops(rel, alg) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_close_codes_one_valued_positions_past_2_64_codes():
+    """Positions that take one value add no digit, even where the running
+    product of the radices before them has reached 2**64."""
+    alg = canonical_algebra(EdgeLabeledGraph(2, {(0, 1): PairLabel(AFFINE)}))
+    ends = {(0,) * 64 + (0, 0), (1,) * 64 + (0, 0)}
+    assert close_under_ops(ends, alg).tuples == ends
 
 
 def test_closure_is_polymorphism_invariant(a3):
