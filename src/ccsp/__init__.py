@@ -31,8 +31,8 @@ from .reductions import (RetractionOutcome, arc_free_elements,
                          retraction_step, split_by_strands)
 from .solver import (PipelineResult, SolveTrace, classify_and_solve, lev,
                      run_pipeline, solve, solve_semilattice_free)
-from .structure import (as_components, find_path, is_linked,
-                        is_semilattice_free, strands_of_instance,
-                        strands_of_relation, tuple_edge_kind)
+from .structure import (as_components, is_linked, is_semilattice_free,
+                        strands_of_instance, strands_of_relation,
+                        tuple_edge_kind)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

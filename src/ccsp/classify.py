@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidArgumentError, SynthesisFailureError
-from .indicator import (Network, preserves, search_operation,
-                        table_from_assignment)
+from .indicator import Network, search_operation, table_from_assignment
 from .model import Algebra, Relation, algebra_violations
 
 SEMILATTICE = "semilattice"
@@ -177,14 +176,18 @@ def classify_pair(lang: ConstraintLanguage, a: int, b: int,
     return PairLabel(NONE)
 
 
-def _pair_rule(op: str, kind: str, f, cell: tuple[int, ...]) -> int:
-    """The value `op` ("p", "g" or "h") takes on a two-valued cell of a pair
-    labeled `kind`, given f.
+# The arity of each uniform table.
+_ARITY = {"f": 2, "p": 2, "g": 3, "h": 3}
 
-    Semilattice pairs fold the cell with f: p(x,y) = f(x,y) and g = h =
-    f(f(x,y),z).  On majority pairs p is the second projection, g majority
-    and h the first projection; on affine pairs p and g are the first
-    projection and h minority.
+
+def _pair_rule(op: str, kind: str, f, cell: tuple[int, ...]) -> int:
+    """The value `op` ("f", "p", "g" or "h") takes on a two-valued cell of a
+    pair labeled `kind`, given f.
+
+    Semilattice pairs fold the cell with f: f(x,y) and p(x,y) are f's own
+    value and g = h = f(f(x,y),z).  On majority pairs f and h are the first
+    projection, p the second and g majority; on affine pairs f, p and g are
+    the first projection and h minority.
     """
     if kind == SEMILATTICE:
         value = cell[0]
@@ -202,7 +205,7 @@ def _pair_rule(op: str, kind: str, f, cell: tuple[int, ...]) -> int:
 
 def _pair_pins(graph: EdgeLabeledGraph, f, op: str) -> dict:
     """`_pair_rule` on every two-valued cell of every pair of the graph."""
-    arity = 2 if op == "p" else 3
+    arity = _ARITY[op]
     pins = {}
     for (a, b) in graph.pairs():
         kind = graph.kind(a, b)
@@ -227,10 +230,6 @@ def _build_f(size: int, orientation):
     return _first_argument_table(size, 2, pins)
 
 
-def _build_p(size: int, graph: EdgeLabeledGraph, f):
-    return _first_argument_table(size, 2, _pair_pins(graph, f, "p"))
-
-
 def canonical_algebra(graph: EdgeLabeledGraph) -> Algebra:
     """Tables determined by the labels alone: f joins along the labels'
     semilattice orientations, p, g and h follow `_pair_rule`, and every
@@ -238,9 +237,9 @@ def canonical_algebra(graph: EdgeLabeledGraph) -> Algebra:
     n = graph.size
     f = _build_f(n, [graph.label(a, b).orientation for (a, b) in graph.pairs()
                      if graph.kind(a, b) == SEMILATTICE])
-    g, h = (_first_argument_table(n, 3, _pair_pins(graph, f, op))
-            for op in ("g", "h"))
-    return Algebra(n, f, _build_p(n, graph, f), g, h)
+    p, g, h = (_first_argument_table(n, _ARITY[op], _pair_pins(graph, f, op))
+               for op in "pgh")
+    return Algebra(n, f, p, g, h)
 
 
 def synthesize_uniform_ops(lang: ConstraintLanguage, graph: EdgeLabeledGraph,
@@ -248,40 +247,31 @@ def synthesize_uniform_ops(lang: ConstraintLanguage, graph: EdgeLabeledGraph,
                            ) -> Algebra:
     """Search operation tables realizing the uniform pair behavior.
 
-    Deterministic: semilattice orientations are tried smaller-source-first,
-    free ternary cells prefer their first argument.  `networks` as for
-    `classify_pair`.
+    For each choice of semilattice orientations, smaller source first, f,
+    p, g and h are searched in turn on the language's networks with their
+    `_pair_pins`.  f and p are pinned on every non-constant cell, so their
+    searches check that they preserve the relations; free ternary cells
+    prefer their first argument.  `networks` as for `classify_pair`.
     """
-    size, rels = lang.size, lang.relations
     nets = {} if networks is None else networks
-    sl_pairs = [(a, b) for (a, b) in graph.pairs()
-                if graph.kind(a, b) == SEMILATTICE]
-    for (a, b) in graph.pairs():
-        if graph.kind(a, b) == NONE:
-            raise InvalidArgumentError("synthesis requires a fully labeled graph")
-
-    choice_lists = []
-    for (a, b) in sl_pairs:
-        dirs = sorted(graph.label(a, b).directions)  # smaller source first
-        choice_lists.append(dirs)
+    if graph.pairs() != list(itertools.combinations(range(lang.size), 2)) \
+            or any(graph.kind(a, b) == NONE for (a, b) in graph.pairs()):
+        raise InvalidArgumentError("synthesis requires a fully labeled graph")
+    choice_lists = [sorted(graph.label(a, b).directions)
+                    for (a, b) in graph.pairs()
+                    if graph.kind(a, b) == SEMILATTICE]
 
     for combo in itertools.product(*choice_lists):
-        f = _build_f(size, combo)
-        if not preserves(f, rels):
-            continue
-        p = _build_p(size, graph, f)
-        if not preserves(p, rels):
-            continue
-        ternary = _network(lang, 3, nets)
-        g_cells = search_operation(ternary, _pair_pins(graph, f, "g"))
-        if g_cells is None:
-            continue
-        h_cells = search_operation(ternary, _pair_pins(graph, f, "h"))
-        if h_cells is None:
-            continue
-        g = table_from_assignment(size, 3, g_cells)
-        h = table_from_assignment(size, 3, h_cells)
-        return Algebra(size, f, p, g, h)
+        f = _build_f(lang.size, combo)
+        tables = []
+        for op, arity in _ARITY.items():
+            cells = search_operation(_network(lang, arity, nets),
+                                     _pair_pins(graph, f, op))
+            if cells is None:
+                break
+            tables.append(table_from_assignment(lang.size, arity, cells))
+        else:
+            return Algebra(lang.size, *tables)
     raise SynthesisFailureError(
         "no conservative tables realize the uniform pair behavior; "
         "the labeling is wrong or the language violates the classifier's hypotheses")
@@ -321,8 +311,8 @@ def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph) -> list[str]:
         else:
             if f[a][b] != a or f[b][a] != b:
                 out.append(f"f must be first projection on {kind} pair ({a},{b})")
-        for name, table, arity in (("p", p, 2), ("g", g, 3), ("h", h, 3)):
-            for cell in _pair_cells(a, b, arity):
+        for name, table in (("p", p), ("g", g), ("h", h)):
+            for cell in _pair_cells(a, b, _ARITY[name]):
                 got = functools.reduce(lambda node, x: node[x], cell, table)
                 want = _pair_rule(name, kind, f, cell)
                 if got != want:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .classify import (AFFINE, MAJORITY, SEMILATTICE, EdgeLabeledGraph,
                        PairLabel, canonical_algebra, semilattice_label)
@@ -47,11 +48,11 @@ def oracle_budget() -> int:
             f"CCSP_BUDGET must be an integer, got {raw!r}") from None
 
 
-def brute_force_solve(inst: Instance,
-                      budget: Optional[int] = None) -> SolveResult:
+def brute_force_solve(inst: Instance) -> SolveResult:
     """Exact verdict by exhaustive backtracking over all assignments, in
-    variable order and ascending values, on an explicit stack."""
-    limit = budget if budget is not None else oracle_budget()
+    variable order and ascending values, on an explicit stack, within
+    `oracle_budget()` assignments."""
+    limit = oracle_budget()
     total = 1
     for v in inst.variables:
         if not inst.domains[v]:
@@ -101,10 +102,10 @@ def brute_force_solve(inst: Instance,
     return sat(assignment)
 
 
-def brute_force_solutions(inst: Instance,
-                          budget: Optional[int] = None) -> set[tuple]:
-    """All solutions as value tuples in variable order (bounded enumeration)."""
-    limit = budget if budget is not None else oracle_budget()
+def brute_force_solutions(inst: Instance) -> set[tuple]:
+    """All solutions as value tuples in variable order, within
+    `oracle_budget()` assignments."""
+    limit = oracle_budget()
     total = 1
     for v in inst.variables:
         total *= max(1, len(inst.domains[v]))
@@ -152,9 +153,9 @@ class GeneratorConfig:
                self.constraint_count, self.max_arity) < 1 or self.samples < 0:
             raise InvalidArgumentError("generator counts must be positive")
         if any(w < 0 for w in self.label_weights) or \
-                not any(self.label_weights):
-            raise InvalidArgumentError(
-                "label weights must be nonnegative and not all zero")
+                not 0 < sum(self.label_weights) < math.inf:
+            raise InvalidArgumentError("label weights must be nonnegative, "
+                                       "not all zero and of finite sum")
 
 
 def gen_label_graph(size: int, rng: Rng,

@@ -1,4 +1,4 @@
-"""Search for conservative operation tables, and the preservation check.
+"""Search for conservative operation tables preserving given relations.
 
 A candidate k-ary operation is a table assigning to each k-tuple of
 elements one of its own entries (conservativity; idempotency follows on
@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InvalidArgumentError
-from .model import Relation, preservation_witness
+from .model import Relation
 
 Cell = tuple[int, ...]
 
@@ -214,12 +214,15 @@ class Network:
         return True
 
     def search(self, pinned: dict[Cell, int]) -> Optional[dict[Cell, int]]:
-        """The first conservative table preserving the relations, or None."""
+        """The first conservative table preserving the relations, or None.
+        Every pinned cell must be a cell of the table."""
         cut = {}  # pinned cell -> its one value as a bitmask
         for cell, want in pinned.items():
             c = self.index.get(cell)
-            if c is None:  # not a cell of this table
-                continue
+            if c is None:
+                raise InvalidArgumentError(
+                    f"pinned cell {cell} is not a cell of a {self.size}-element "
+                    f"{self.arity}-ary table")
             if want not in self.options[c]:
                 raise InvalidArgumentError(
                     f"pinned value {want} at {cell} is not conservative")
@@ -262,9 +265,3 @@ def table_from_assignment(size: int, arity: int, assignment: dict[Cell, int]):
     for _ in range(arity):
         nested = [tuple(nested[i:i + size]) for i in range(0, len(nested), size)]
     return nested[0]
-
-
-def preserves(table, relations: Sequence[Relation]) -> bool:
-    """True if the table maps every combination of rows of each relation,
-    componentwise, into that relation (see `model.preservation_witness`)."""
-    return preservation_witness(table, relations) is None

@@ -111,12 +111,6 @@ def _tuple_sa_adjacency(rows: Sequence[tuple], graph: EdgeLabeledGraph) -> dict:
     return adj
 
 
-def find_path(rel: Relation, graph: EdgeLabeledGraph, a: tuple,
-              b: tuple) -> Optional[list[tuple]]:
-    """Breadth-first path from a to b over semilattice/affine tuple edges."""
-    return first_path(rel, graph, [(a, b)])
-
-
 def first_path(rel: Relation, graph: EdgeLabeledGraph,
                pairs: Iterable[tuple[tuple, tuple]]) -> Optional[list[tuple]]:
     """Breadth-first path over semilattice/affine tuple edges for the first

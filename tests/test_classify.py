@@ -6,12 +6,12 @@ import pytest
 from ccsp.classify import (AFFINE, MAJORITY, NONE, SEMILATTICE,
                            ConstraintLanguage, EdgeLabeledGraph, PairLabel,
                            check_uniformity_laws, classify_language,
-                           classify_pair, derive_m, synthesize_uniform_ops)
-from ccsp.errors import InvalidArgumentError
-from ccsp.harness import Rng, canonical_a3
-from ccsp.indicator import (Network, preserves, search_operation,
-                            table_from_assignment)
-from ccsp.model import Algebra, relation
+                           classify_pair, derive_m, semilattice_label,
+                           synthesize_uniform_ops)
+from ccsp.errors import InvalidArgumentError, SynthesisFailureError
+from ccsp.harness import Rng, canonical_a3, canonical_algebra
+from ccsp.indicator import Network, search_operation, table_from_assignment
+from ccsp.model import Algebra, preservation_witness, relation
 
 
 def lang2(*tuple_sets):
@@ -64,18 +64,18 @@ def _oracle_label(lang):
               for a in enumerate_conservative_tables(2, 2)]
     ternary = [table_from_assignment(2, 3, a)
                for a in enumerate_conservative_tables(2, 3)]
-    sl = any(preserves(t, lang.relations) and
+    sl = any(preservation_witness(t, lang.relations) is None and
              ((t[0][1] == 1 and t[1][0] == 1) or (t[0][1] == 0 and t[1][0] == 0))
              for t in binary)
     if sl:
         return SEMILATTICE
-    maj = any(preserves(t, lang.relations) and
+    maj = any(preservation_witness(t, lang.relations) is None and
               t[0][0][1] == 0 and t[0][1][0] == 0 and t[1][0][0] == 0 and
               t[1][1][0] == 1 and t[1][0][1] == 1 and t[0][1][1] == 1
               for t in ternary)
     if maj:
         return MAJORITY
-    aff = any(preserves(t, lang.relations) and
+    aff = any(preservation_witness(t, lang.relations) is None and
               t[0][0][1] == 1 and t[0][1][0] == 1 and t[1][0][0] == 1 and
               t[1][1][0] == 0 and t[1][0][1] == 0 and t[0][1][1] == 0
               for t in ternary)
@@ -224,10 +224,39 @@ def test_synthesize_free_language_prefers_first_argument():
         assert alg.h[x][y][z] == x
 
 
+def test_synthesize_checks_f_and_p_against_the_relations():
+    # f joining toward 1 maps the rows (0,1), (1,0) of NEQ to (1,1); as a
+    # majority pair p is the second projection, which preserves NEQ
+    with pytest.raises(SynthesisFailureError):
+        synthesize_uniform_ops(NEQ, EdgeLabeledGraph(
+            2, {(0, 1): semilattice_label([(0, 1)])}))
+    alg = synthesize_uniform_ops(NEQ, EdgeLabeledGraph(
+        2, {(0, 1): PairLabel(MAJORITY)}))
+    assert alg.f == ((0, 0), (1, 1)) and alg.p == ((0, 1), (0, 1))
+    # f preserves R, but p, the second projection on the majority pair
+    # {0,2}, maps the rows (2,2), (0,1) of R to (0,2)
+    graph = EdgeLabeledGraph(3, {(0, 1): semilattice_label([(0, 1)]),
+                                 (0, 2): PairLabel(MAJORITY),
+                                 (1, 2): PairLabel(AFFINE)})
+    rel = relation([(0, 1), (2, 1), (2, 2)])
+    assert preservation_witness(canonical_algebra(graph).f, [rel]) is None
+    with pytest.raises(SynthesisFailureError):
+        synthesize_uniform_ops(ConstraintLanguage(3, (rel,)), graph)
+
+
+def test_synthesize_rejects_a_partial_graph():
+    graph = EdgeLabeledGraph(3, {(0, 1): PairLabel(MAJORITY),
+                                 (0, 2): PairLabel(MAJORITY)})
+    with pytest.raises(InvalidArgumentError, match="fully labeled"):
+        synthesize_uniform_ops(ConstraintLanguage(3, ()), graph)
+    with pytest.raises(InvalidArgumentError, match="fully labeled"):
+        synthesize_uniform_ops(ORDER, EdgeLabeledGraph(2, {(0, 1): PairLabel(NONE)}))
+
+
 def test_check_uniformity_clean_on_synthesized_and_canonical():
     v = classify_language(ORDER)
     assert check_uniformity_laws(v.algebra, v.graph) == []
-    assert all(preserves(tab, ORDER.relations)
+    assert all(preservation_witness(tab, ORDER.relations) is None
                for tab in v.algebra.all_ops().values())
     alg, graph = canonical_a3()
     assert check_uniformity_laws(alg, graph) == []
@@ -264,15 +293,15 @@ def test_synthesized_tables_and_m_are_polymorphisms():
         v = classify_language(lang)
         alg = v.algebra
         for table in (alg.f, alg.p, alg.g, alg.h, derive_m(alg)):
-            assert preserves(table, lang.relations)
+            assert preservation_witness(table, lang.relations) is None
 
 
 def test_preserves_checks_constant_row_combinations():
     # not idempotent: f(0,0) = 1 maps the row (0,0) of EQ0 out of it
     eq0 = [relation([(0, 0)])]
-    assert not preserves(((1, 0), (1, 1)), eq0)
-    assert preserves(((0, 0), (1, 1)), eq0)
-    assert not preserves(((0, 1), (0, 0)), NEQ.relations)
+    assert preservation_witness(((1, 0), (1, 1)), eq0) is not None
+    assert preservation_witness(((0, 0), (1, 1)), eq0) is None
+    assert preservation_witness(((0, 1), (0, 0)), NEQ.relations) is not None
 
 
 # -- search order: the first preserving table, found by enumeration ----------
@@ -300,7 +329,8 @@ def _first_tables(size, arity, rels, pinned):
 
     found = [t for t in enumerate_conservative_tables(size, arity)
              if all(t[c] == v for c, v in pinned.items())
-             and preserves(table_from_assignment(size, arity, t), rels)]
+             and preservation_witness(
+                 table_from_assignment(size, arity, t), rels) is None]
     return (min(found, key=rank(order), default=None),
             min(found, key=rank(order[::-1]), default=None))
 
@@ -348,6 +378,14 @@ def test_search_returns_first_table_in_static_order():
         pinned = {c: c[-1] for c in r.sample(triples, 2)}
         _check_first_tables(2, 3, rels, pinned, sensitive)
     assert sensitive["order-sensitive"] >= 5, sensitive
+
+
+def test_search_rejects_a_pin_outside_the_table():
+    net = Network(2, 2, ORDER.relations)
+    for foreign in ({(0, 1, 1): 1}, {(0, 2): 2}, {(0, 1): 1, (1,): 1}):
+        with pytest.raises(InvalidArgumentError, match="not a cell"):
+            search_operation(net, foreign)
+    assert search_operation(net, {(0, 1): 1, (1, 0): 1}) is not None
 
 
 def test_shared_network_searches_as_fresh_ones():

@@ -14,9 +14,9 @@ from ccsp.classify import (AFFINE, EdgeLabeledGraph, PairLabel,
                            canonical_algebra, check_uniformity_laws)
 from ccsp.cli import main
 from ccsp.errors import OracleBudgetError
-from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve,
-                          canonical_a3, gen_algebra, gen_instance,
-                          gen_planted_instance)
+from ccsp.harness import (GeneratorConfig, Rng, brute_force_solutions,
+                          brute_force_solve, canonical_a3, gen_algebra,
+                          gen_instance, gen_planted_instance)
 from ccsp.jsonio import (algebra_to_obj, instance_from_obj, instance_to_obj,
                          load_algebra, result_to_obj, var_str)
 from ccsp.laws import run_law_suite
@@ -44,11 +44,14 @@ def test_brute_force_examples():
     assert sol.is_sat and sol.assignment["x"] != sol.assignment["y"]
 
 
-def test_brute_force_budget():
+def test_brute_force_budget(monkeypatch):
+    monkeypatch.setenv("CCSP_BUDGET", "1000")
     inst = Instance([f"v{i}" for i in range(30)],
                     {f"v{i}": {0, 1, 2, 3} for i in range(30)}, [])
     with pytest.raises(OracleBudgetError):
-        brute_force_solve(inst, budget=1000)
+        brute_force_solve(inst)
+    with pytest.raises(OracleBudgetError):
+        brute_force_solutions(inst)
 
 
 def test_canonical_a3_tables_match_expected():
@@ -333,8 +336,13 @@ def test_cli_oracle_beyond_recursion_limit(tmp_path, capsys):
     (["gen", "instance", "--planted", "--variables", "1"], "planted"),
     (["gen", "instance", "--planted", "--max-arity", "1"], "planted"),
     (["bench", "--sizes", "1x1"], "planted"),
+    (["gen", "algebra", "--weights", "nan,1,1"], "finite sum"),
+    (["gen", "instance", "--weights", "1,inf,1"], "finite sum"),
+    (["gen", "instance", "--weights", "1,1,1e999"], "finite sum"),
+    (["gen", "algebra", "--weights", "1e308,1e308,0"], "finite sum"),
 ], ids=["gen-output-dir", "bench-sizes", "gen-weights", "planted-variables",
-        "planted-max-arity", "bench-one-variable"])
+        "planted-max-arity", "bench-one-variable", "gen-weights-nan",
+        "gen-weights-inf", "gen-weights-overflow", "gen-weights-sum-overflow"])
 def test_cli_bad_arguments_exit_invalid(tmp_path, capsys, monkeypatch, argv,
                                         message):
     monkeypatch.chdir(tmp_path)
@@ -601,6 +609,81 @@ def test_cli_mutated_instance_exits_with_a_documented_code(tmp_path,
     file.write_text(json.dumps(obj))
     for command in ("solve", "oracle"):
         assert main([command, str(file)]) in (0, 1, 2, 3)
+
+
+# The CLI argument fuzz.  No run asks for more than 6 variables (the gen
+# default): the largest count drawn is 2, the largest bench size 3x2.
+ARG_NUMBERS = ["0", "1", "-1", "2", "nan", "inf", "", "x"]
+ARG_SIZES = ["3x2", "3", "2x", "x2", "2x2x2", "ax1", "-1x2", "0x0", "1x1",
+             "3x2,2x1", "3x2,", ",", "nanx1", ""]
+ARG_WEIGHTS = ["1,1,1", "0,1,0", "1,1", "1,1,1,1", "nan,1,1", "1,inf,1",
+               "1,1,1e999", "-1,1,1", "0,0,0", "a,b,c", "1,,1", ""]
+ARG_FILES = ["inst.json", "lang.json", "hard.json", "empty.json",
+             "missing.json", "."]
+ARG_FLAG = [True]
+# Per subcommand, each argument with its pool: positionals (in <>) and the
+# options in ARG_ALWAYS run with their pool's first value unless chosen,
+# other options are left out.  --samples and --sizes are always passed, so
+# that their defaults (200 law samples, a 100-variable bench) never run.
+ARG_COMMANDS = {
+    "classify": {"<language>": ["lang.json", "hard.json", "inst.json",
+                                "empty.json", "missing.json", "."],
+                 "--json": ARG_FLAG},
+    "solve": {"<instance>": ARG_FILES, "--algebra": ARG_FILES,
+              "--json": ARG_FLAG, "--force-oracle": ARG_FLAG},
+    "oracle": {"<instance>": ARG_FILES, "--json": ARG_FLAG},
+    "laws": {"--samples": ARG_NUMBERS, "--seed": ARG_NUMBERS,
+             "--domain-size": ARG_NUMBERS, "--max-arity": ARG_NUMBERS,
+             "--json": ARG_FLAG},
+    "gen": {"<kind>": ["algebra", "instance", "x"], "--seed": ARG_NUMBERS,
+            "--domain-size": ARG_NUMBERS, "--variables": ARG_NUMBERS,
+            "--constraints": ARG_NUMBERS, "--max-arity": ARG_NUMBERS,
+            "--weights": ARG_WEIGHTS, "--planted": ARG_FLAG,
+            "-o": ["out.json", "", ".", "no/out.json"]},
+    "bench": {"--sizes": ARG_SIZES, "--seed": ARG_NUMBERS,
+              "--domain-size": ARG_NUMBERS, "--json": ARG_FLAG},
+}
+ARG_ALWAYS = {"--samples", "--sizes"}
+
+
+def _fuzz_argv(command: str, chosen: dict) -> list[str]:
+    argv = [command]
+    for name, pool in ARG_COMMANDS[command].items():
+        if name in chosen or name.startswith("<") or name in ARG_ALWAYS:
+            value = chosen.get(name, pool[0])
+            argv += ([value] if name.startswith("<") else
+                     [name] if value is True else [name, value])
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(ARG_COMMANDS))
+def test_cli_fuzzed_arguments_exit_with_a_documented_code(
+        tmp_path, monkeypatch, capsys, command):
+    """Each argument of the subcommand set alone to every value of its pool
+    (numbers, non-numbers, empty strings, malformed sizes and weights,
+    unreadable files), then 150 seeded draws of three arguments at once:
+    each run exits 0, 1, 2 or 3 (argparse's own refusals exit 2), never 4."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.json").write_text(json.dumps(FUZZ_BASE))
+    (tmp_path / "lang.json").write_text(json.dumps(
+        {"universe": [0, 1], "relations": [[[0, 0], [0, 1], [1, 1]]]}))
+    (tmp_path / "hard.json").write_text(json.dumps(  # 1-in-3: NP-complete
+        {"universe": [0, 1], "relations": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}))
+    (tmp_path / "empty.json").write_text("")
+    arguments = ARG_COMMANDS[command]
+    rng = random.Random(f"cli-arguments/{command}")
+    runs = [{name: value} for name, pool in arguments.items() for value in pool]
+    runs += [{name: rng.choice(arguments[name])
+              for name in rng.sample(sorted(arguments), min(3, len(arguments)))}
+             for _ in range(150)]
+    for chosen in runs:
+        argv = _fuzz_argv(command, chosen)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3) and "internal" not in err, (argv, err)
 
 
 def test_fuzz_base_is_a_valid_sat_instance(tmp_path):

@@ -357,7 +357,7 @@ def test_classify_synthesize_solve_three_element_language():
     from ccsp.classify import ConstraintLanguage, check_uniformity_laws, \
         classify_language
     from ccsp.harness import Rng
-    from ccsp.indicator import preserves
+    from ccsp.model import preservation_witness
 
     alg0, graph0 = canonical_a3()
     rng = Rng(314)
@@ -370,7 +370,7 @@ def test_classify_synthesize_solve_three_element_language():
     verdict = classify_language(lang)
     assert verdict.tractable
     assert check_uniformity_laws(verdict.algebra, verdict.graph) == []
-    assert all(preserves(tab, lang.relations)
+    assert all(preservation_witness(tab, lang.relations) is None
                for tab in verdict.algebra.all_ops().values())
     inst = Instance(["u", "v", "w"], {x: {0, 1, 2} for x in "uvw"},
                     [(("u", "v"), rels[0]), (("v", "w"), rels[1])],

@@ -11,7 +11,7 @@ from ccsp.laws import check_law
 from ccsp.model import Instance, close_under_ops, project, relation
 from ccsp.solver import lev
 from ccsp.structure import (as_components, as_components_of_relation,
-                            find_path, is_linked, is_semilattice_free,
+                            first_path, is_linked, is_semilattice_free,
                             sa_arcs, strands_of_instance, strands_of_relation,
                             tuple_edge_kind)
 
@@ -83,8 +83,8 @@ def test_semilattice_free(a3):
 def test_find_path_trivial_and_affine(a3):
     _, graph = a3
     r = relation(itertools.product((1, 2), repeat=2))
-    assert find_path(r, graph, (1, 1), (1, 1)) == [(1, 1)]
-    path = find_path(r, graph, (1, 1), (2, 2))
+    assert first_path(r, graph, [((1, 1), (1, 1))]) == [(1, 1)]
+    path = first_path(r, graph, [((1, 1), (2, 2))])
     assert path[0] == (1, 1) and path[-1] == (2, 2)
     for u, v in zip(path, path[1:]):
         assert tuple_edge_kind(u, v, graph) in ("semilattice", "affine")
@@ -93,7 +93,7 @@ def test_find_path_trivial_and_affine(a3):
 def test_find_path_none_without_edges():
     graph = all_majority_graph(2)
     r = relation([(0, 0), (1, 1)])
-    assert find_path(r, graph, (0, 0), (1, 1)) is None
+    assert first_path(r, graph, [((0, 0), (1, 1))]) is None
 
 
 def test_strands_examples(a3):
@@ -209,7 +209,7 @@ def test_connectivity_law_and_path_reachability(a3):
             sub = relation(inside, signature=rel.signature)
             for u in inside:
                 for v in inside:
-                    assert find_path(sub, graph, u, v) is not None
+                    assert first_path(sub, graph, [(u, v)]) is not None
     assert checked > 5
 
 
@@ -222,7 +222,7 @@ def test_path_extension_law(a3):
     for a in proj.sorted_tuples():
         for b in proj.sorted_tuples():
             if a != b:
-                path = find_path(proj, graph, a, b)
+                path = first_path(proj, graph, [(a, b)])
                 if path and len(path) >= 2:
                     res = check_law("path-extension",
                                     {"relation": rel, "graph": graph,
