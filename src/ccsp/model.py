@@ -184,12 +184,11 @@ def apply_componentwise(table, args: Sequence[ValueTuple]) -> ValueTuple:
     return tuple(out)
 
 
-def _code_radices(columns: Iterable[Iterable[int]]) -> Optional[list[int]]:
-    """Mixed-radix bases for uint64 tuple codes: one past the largest value
-    in each column, which a conservative image never exceeds.  None if the
-    codes would overflow 64 bits."""
-    radices = [max(column) + 1 for column in columns]
-    return radices if math.prod(radices) <= 2 ** 64 else None
+def _code_space(columns: Iterable[Iterable[int]]) -> int:
+    """Number of tuple codes with one digit per column for the rank of a
+    value among the values the column takes, the least that a conservative
+    image, which takes no other, needs.  They fit in uint64 up to 2**64."""
+    return math.prod(len(set(column)) for column in columns)
 
 
 def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
@@ -197,9 +196,11 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
 
     Conservative operations never introduce new per-position values, so the
     signature is the seed's per-position value sets and the closure lies in
-    their product.  Tuples are held as sorted mixed-radix codes over the
-    values they take (`_code_radices`); f, p, g and h are applied in turn
-    to every combination of them until four in a row add no tuple or the
+    their product.  Tuples are held as sorted mixed-radix uint64 codes: one
+    digit per position for its value, radix one past its largest value,
+    where those codes fit, and else for the rank of its value among the
+    values it takes (`_code_space`).  f, p, g and h are applied in turn to
+    every combination of them until four in a row add no tuple or the
     product is reached.  An operation's images are built in slices of its
     first argument, so that one step's arrays stay under a fixed size until
     a single first argument's images exceed it.
@@ -213,23 +214,40 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
     if not all(0 <= v < alg.size for t in seed_tuples for v in t):
         raise InvalidArgumentError("seed values must lie in the universe")
     signature = [{t[i] for t in seed_tuples} for i in range(arity)]
-    radices = _code_radices(signature)
-    if radices is None:
+    product = _code_space(signature)
+    if product > 2 ** 64:
         raise InvalidArgumentError(
             f"codes of {arity}-tuples over their values overflow 64 bits")
-    product = math.prod(map(len, signature))
+    if len(set(seed_tuples)) == product:
+        return relation(seed_tuples, signature=signature)
+    at = np.arange(arity)[:, None]
+    radices = [max(values) + 1 for values in signature]
+    value = digit = None  # digit[i, v]: v's rank at position i; value: back
+    if math.prod(radices) > 2 ** 64:
+        radices = [len(values) for values in signature]
+        value = np.zeros((arity, max(radices)), dtype=np.uint64)
+        digit = np.zeros((arity, alg.size), dtype=np.uint64)
+        for i, values in enumerate(signature):
+            ordered = sorted(values)
+            value[i, :len(ordered)] = ordered
+            digit[i, ordered] = np.arange(len(ordered))
     # uint64 throughout: numpy promotes int64 with uint64 to float64.  A
     # position of radix 1 always reads 0, so its power is 1: the running
     # product there may already be 2**64.
     powers = np.array([math.prod(radices[:i]) if r > 1 else 1
                        for i, r in enumerate(radices)], dtype=np.uint64)
     bases = np.array(radices, dtype=np.uint64)[:, None]
-    codes = np.unique(np.array(seed_tuples, dtype=np.uint64) @ powers)
+    seed_digits = np.array(seed_tuples, dtype=np.uint64).T
+    if digit is not None:
+        seed_digits = digit[at, seed_digits]
+    codes = np.unique(powers @ seed_digits)
     tables = itertools.cycle([np.array(t, dtype=np.uint64)
                               for t in (alg.f, alg.p, alg.g, alg.h)])
     idle = 0
     while True:
         cols = codes // powers[:, None] % bases  # (arity, n)
+        if value is not None:
+            cols = value[at, cols]
         if idle == 4 or len(codes) == product:
             return relation(map(tuple, cols.T.tolist()), signature=signature)
         tab = next(tables)
@@ -245,6 +263,8 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
         for lo in range(0, len(codes), rows):
             args[0] = first[:, lo:lo + rows]
             images = tab[tuple(args)].reshape(arity, -1)
+            if digit is not None:
+                images = digit[at, images]
             grown = np.union1d(grown, powers @ images)
         idle = idle + 1 if len(grown) == len(codes) else 0
         codes = grown
@@ -279,7 +299,7 @@ def is_closed_under_ops(rel: Relation, alg: Algebra) -> Optional[tuple]:
     """Return None if closed; else a witness (op_name, arg_tuples, image).
     The closure decides, so the algebra must be conservative; where its
     tuple codes would overflow, the four tables are checked one by one."""
-    if not rel.tuples or (_code_radices(zip(*rel.tuples)) is not None and len(
+    if not rel.tuples or (_code_space(zip(*rel.tuples)) <= 2 ** 64 and len(
             close_under_ops(rel.tuples, alg)) == len(rel)):
         return None
     for name, tab in alg.all_ops().items():

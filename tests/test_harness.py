@@ -392,10 +392,11 @@ def _wide_instance_file(tmp_path, tuples) -> str:
 @pytest.mark.parametrize("n", [40, 41])
 def test_cli_solve_accepts_a_closed_constraint_past_64_bit_codes(
         tmp_path, capsys, n):
-    """Tuple codes run over the values the tuples take, radix 3 at each
-    position here: 3**41 overflows 64 bits, so at 41 variables the closure
-    check goes table by table instead of through `close_under_ops`."""
-    path = _wide_instance_file(tmp_path, [(0,) * n, (2,) * n])
+    """A tuple code has one digit per position for the rank of its value
+    among the values the tuples take there, three here: 3**41 overflows 64
+    bits, so at 41 variables the closure check goes table by table instead
+    of through `close_under_ops`."""
+    path = _wide_instance_file(tmp_path, [(0,) * n, (1,) * n, (2,) * n])
     assert main(["solve", path]) == 0
     assert capsys.readouterr().out.startswith("sat")
 

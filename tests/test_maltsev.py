@@ -6,13 +6,12 @@ import pytest
 from ccsp import maltsev, solver
 from ccsp.classify import AFFINE, MAJORITY, EdgeLabeledGraph, PairLabel
 from ccsp.harness import Rng, brute_force_solve, canonical_algebra
-from ccsp.maltsev import (Representation, append_coordinates, restrict,
-                          solve_with_maltsev)
+from ccsp.maltsev import Representation, extend, restrict, solve_with_maltsev
 from ccsp.model import Instance, relation
 from ccsp.solver import solve
 
 # Oracles for the compact representation.  They apply m on their own and
-# share no helper with `restrict`, whose output they check.
+# share no helper with `restrict` and `extend`, whose output they check.
 
 
 def apply_m(m, x, y, z):
@@ -68,11 +67,12 @@ def member(rep, target, m):
     return g == target
 
 
-def product_representation(domains):
-    """Representation of the full product: the empty row, then the domains."""
+def product_representation(domains, m):
+    """Representation of the full product: the empty row, extended by the
+    product of the domains."""
     rep = Representation(n=0)
     rep.add(())
-    return append_coordinates(rep, domains)
+    return extend(rep, range(len(domains)), itertools.product(*domains), m)
 
 
 def random_maltsev_table(size, rng):
@@ -117,11 +117,10 @@ def random_representation(rel, n, rng):
 
 def test_product_representation_generates_full_product():
     domains = [[0, 1], [0, 2, 3], [1]]
-    rep = product_representation(domains)
+    m = random_maltsev_table(4, Rng(1))
+    rep = product_representation(domains, m)
     full = set(itertools.product(*domains))
     assert signature_of(rep.rows) == signature_of(full)
-    rng = Rng(1)
-    m = random_maltsev_table(4, rng)
     for t in full:
         assert member(rep, t, m)
     assert not member(rep, (1, 1, 1), m)
@@ -129,6 +128,7 @@ def test_product_representation_generates_full_product():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_append_coordinates_generates_the_product(seed):
+    """`extend` by new coordinates only, C a product: R x D_1 x ... x D_k."""
     rng = Rng(seed).split("append")
     size = rng.choice([2, 3, 4])
     n = rng.randint(1, 4)
@@ -140,13 +140,95 @@ def test_append_coordinates_generates_the_product(seed):
     rep = random_representation(R, n, rng)
     extra = [sorted(rng.sample(range(size), rng.randint(1, size)))
              for _ in range(rng.randint(0, 2))]
-    out = append_coordinates(rep, extra)
+    out = extend(rep, range(n, n + len(extra)), itertools.product(*extra),
+                 m)
     product = {t + u for t in R for u in itertools.product(*extra)}
     assert out.n == n + len(extra)
     assert signature_of(out.rows) == signature_of(product)
     assert out.values == [{t[q] for t in product} for q in range(out.n)]
     for t in itertools.product(*domains, *[range(size)] * len(extra)):
         assert member(out, t, m) == (t in product)
+
+
+@pytest.mark.parametrize("covers", [True, False])
+@pytest.mark.parametrize("seed", range(60))
+def test_extend_matches_bruteforce(seed, covers):
+    """The join of R with a closed C on 0-2 of R's coordinates and 1-2 new
+    ones, some of them repeated in C's scope.  When pr_O(C) misses points
+    of pr_O(R), R is cut to it by `restrict` first."""
+    rng = Rng(seed).split("extend")
+    size = rng.choice([2, 2, 3, 3, 4])
+    n = rng.choice([2, 3, 4])
+    m = random_maltsev_table(size, rng)
+    domains = [sorted(rng.sample(range(size), rng.randint(1, size)))
+               for _ in range(n)]
+    pool = list(itertools.product(*domains))
+    R = m_closure(rng.sample(pool, min(len(pool), rng.randint(1, 4))), m)
+    rep = random_representation(R, n, rng)
+    old = rng.sample(range(n), rng.randint(0, 2))
+    new = list(range(n, n + rng.randint(1, 2)))
+    scope = old + new
+    scope += [rng.choice(scope) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(scope)
+    # the new coordinates are numbered in the order the scope reaches them
+    order = [p for p in dict.fromkeys(scope) if p >= n]
+    scope = [n + order.index(p) if p >= n else p for p in scope]
+
+    def on_scope(t):
+        return tuple(t[p] for p in scope)
+
+    def sample(t):  # a tuple of R extended by random new values
+        return t + tuple(rng.randrange(size) for _ in new)
+
+    base = [on_scope(sample(rng.choice(sorted(R))))
+            for _ in range(rng.randint(1, 3))]
+    if covers:
+        base += [on_scope(sample(t)) for t in sorted(R)]
+    C = m_closure(base, m)
+    O = sorted(set(old))
+    cut_to = {tuple(t[scope.index(p)] for p in O) for t in C
+              if all(t[i] == t[scope.index(p)] for i, p in enumerate(scope))}
+    inside = {t for t in R if tuple(t[p] for p in O) in cut_to}
+    if covers:
+        assert inside == R
+    else:
+        rep = restrict(rep, O, cut_to, m)
+        if rep.empty:
+            assert not inside
+            return
+    out = extend(rep, scope, C, m)
+
+    join = {t + f for t in inside
+            for f in itertools.product(range(size), repeat=len(new))
+            if on_scope(t + f) in C}
+    assert out.n == n + len(new)
+    assert set(out.rows) <= join
+    assert signature_of(out.rows) == signature_of(join)
+    assert out.values == [{t[q] for t in join} for q in range(out.n)]
+    for t in itertools.product(*domains, *[range(size)] * len(new)):
+        assert member(out, t, m) == (t in join)
+
+
+def test_extend_gives_each_fiber_its_own_witnesses():
+    """C = {(0,0), (1,1), (1,2)} is closed under the minority of each pair
+    that gives 0 on three distinct values.  Its fork (1, 2) lies over the
+    point 1 of R's first coordinate, which R's first row does not take:
+    `extend` walks there for the witnesses."""
+    m = tuple(tuple(tuple(x if y == z else z if x == y else y if x == z
+                          else 0 for z in range(3)) for y in range(3))
+              for x in range(3))
+    C = {(0, 0), (1, 1), (1, 2)}
+    assert m_closure(C, m) == C
+    rep = Representation(n=2)
+    for t in [(0, 0), (0, 1), (1, 0)]:
+        rep.add(t)
+    join = {(a, b, f) for a, b in itertools.product((0, 1), repeat=2)
+            for a2, f in C if a2 == a}
+    out = extend(rep, [0, 2], C, m)
+    assert set(out.rows) <= join
+    assert signature_of(out.rows) == signature_of(join)
+    for t in itertools.product(range(3), repeat=3):
+        assert member(out, t, m) == (t in join)
 
 
 @pytest.mark.parametrize("seed", range(150))
@@ -247,7 +329,7 @@ def test_chained_solve_matches_bruteforce(seed):
     if got is not None:
         assert got in sols
 
-    rep = product_representation(domains)
+    rep = product_representation(domains, m)
     for sc, al in cons:
         rep = restrict(rep, sc, al, m)
     assert signature_of(rep.rows) == signature_of(sols)
@@ -334,21 +416,25 @@ def test_solve_is_independent_of_constraint_order(seed):
 def test_contradiction_between_first_and_last_constraint_ends_at_once(
         monkeypatch):
     """The last constraint reaches no new coordinate once the first has
-    been taken, so it is taken second and empties the representation."""
+    been taken, so it is taken second and empties the representation: the
+    first only extends it, the second only restricts it."""
     calls = []
 
-    def spy(rep, scope, allowed, m):
-        calls.append(scope)
-        return restrict(rep, scope, allowed, m)
+    def spy(name, step):
+        def spied(rep, scope, allowed, m):
+            calls.append(name)
+            return step(rep, scope, allowed, m)
+        return spied
 
-    monkeypatch.setattr(maltsev, "restrict", spy)
+    monkeypatch.setattr(maltsev, "restrict", spy("restrict", restrict))
+    monkeypatch.setattr(maltsev, "extend", spy("extend", extend))
     rng = random.Random("first-and-last")
     middle = [(*rng.sample(range(3, 40), 3), rng.randint(0, 1))
               for _ in range(30)]
     equations = [(0, 1, 2, 0), *middle, (2, 0, 1, 1)]
     cons = [((i, j, k), XOR[c].tuples) for i, j, k, c in equations]
     assert solve_with_maltsev([[0, 1]] * 40, cons, MINORITY) is None
-    assert len(calls) == 2
+    assert calls == ["extend", "restrict"]
 
 
 def parity_instance(n, equations, idle=False):
@@ -390,11 +476,12 @@ def test_parity_systems_match_gf2_elimination():
 
 def test_parity_systems_at_ladder_scale_match_gf2_elimination():
     """One 3-XOR system per density at n = 120 and n = 200, and at n = 400
-    one on each side of the threshold."""
+    and n = 800 one on each side of the threshold."""
     cases = [(n, density) for n in (120, 200)
              for density in (0.6, 0.8, 0.9, 1.0, 1.2)]
     top = []
-    for n, density in cases + [(400, 0.9), (400, 1.0)]:
+    for n, density in cases + [(n, density) for n in (400, 800)
+                               for density in (0.9, 1.0)]:
         rng = random.Random(f"gf2-ladder/{n}/{density}")
         equations = [(*rng.sample(range(n), 3), rng.randint(0, 1))
                      for _ in range(int(density * n))]
@@ -404,9 +491,9 @@ def test_parity_systems_at_ladder_scale_match_gf2_elimination():
         assert not res.is_sat or all(
             res.assignment[f"x{i}"] ^ res.assignment[f"x{j}"]
             ^ res.assignment[f"x{k}"] == c for i, j, k, c in equations)
-        if n == 400:
+        if n >= 400:
             top.append(res.is_sat)
-    assert top == [True, False]
+    assert top == [True, False, True, False]
 
 
 def test_idle_mixed_variable_leaves_xor_variables_to_maltsev(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccsp import model
-from ccsp.classify import (AFFINE, EdgeLabeledGraph, PairLabel,
+from ccsp.classify import (AFFINE, MAJORITY, EdgeLabeledGraph, PairLabel,
                            canonical_algebra)
 from ccsp.errors import InvalidArgumentError
 from ccsp.harness import canonical_a3
@@ -212,6 +212,45 @@ def test_closure_check_codes_a_wide_relation_over_its_values(a3, monkeypatch):
     start = time.perf_counter()
     assert is_closed_under_ops(rel, alg) is None
     assert time.perf_counter() - start < 0.5
+
+
+def test_closure_check_codes_positions_by_the_rank_of_their_values(
+        a3, monkeypatch):
+    """Each of 41 positions takes {0, 2}: 2**41 codes by the rank of a value
+    among those its position takes, where one past the largest value, 3,
+    would need 3**41 and the table by table check.  Position i of the
+    tuple for t in {0,1}^6 is 2 * t[i mod 6]."""
+    alg, _ = a3
+    rel = relation([tuple(2 * t[i % 6] for i in range(41))
+                    for t in itertools.product((0, 1), repeat=6)])
+    monkeypatch.setattr(model, "preservation_witness", None)
+    start = time.perf_counter()
+    assert is_closed_under_ops(rel, alg) is None
+    assert time.perf_counter() - start < 2.0
+
+
+def test_close_grows_a_closure_coded_by_rank():
+    """41 positions over {0, 2}, affine under h: 3**41 value codes overflow,
+    2**41 rank codes do not, and the closure of three tuples is their
+    affine hull."""
+    alg = canonical_algebra(EdgeLabeledGraph(3, {
+        (0, 1): PairLabel(MAJORITY), (0, 2): PairLabel(AFFINE),
+        (1, 2): PairLabel(MAJORITY)}))
+    rng = random.Random(5)
+    seed = [tuple(rng.choice((0, 2)) for _ in range(41)) for _ in range(3)]
+    hull = set(seed) | {tuple(a ^ b ^ c for a, b, c in zip(*seed))}
+    assert close_under_ops(seed, alg).tuples == hull
+
+
+def test_closure_check_goes_table_by_table_past_64_bit_codes(a3,
+                                                             monkeypatch):
+    """Three values at each of 41 positions need 3**41 > 2**64 codes."""
+    alg, _ = a3
+    monkeypatch.setattr(model, "close_under_ops", None)
+    assert is_closed_under_ops(
+        relation([(v,) * 41 for v in range(3)]), alg) is None
+    _assert_real_witness(relation([(0, 1) + (0,) * 39, (1, 0) + (1,) * 39,
+                                   (2,) * 41]), alg)
 
 
 def test_close_codes_one_valued_positions_past_2_64_codes():
