@@ -184,6 +184,18 @@ def apply_componentwise(table, args: Sequence[ValueTuple]) -> ValueTuple:
     return tuple(out)
 
 
+def _sorted_unique(*parts: np.ndarray) -> np.ndarray:
+    """The sorted distinct codes of `parts`: a sort and a pass that drops
+    adjacent duplicates, cheaper on small arrays than np.unique.  Sorting
+    the concatenation in place instead raised the peak resident memory of
+    three `planted` set-ups in one process from 53 to 59 MB."""
+    merged = np.sort(np.concatenate(parts))
+    keep = np.empty(len(merged), dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
+
+
 def _code_space(columns: Iterable[Iterable[int]]) -> int:
     """Number of tuple codes with one digit per column for the rank of a
     value among the values the column takes, the least that a conservative
@@ -240,7 +252,7 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
     seed_digits = np.array(seed_tuples, dtype=np.uint64).T
     if digit is not None:
         seed_digits = digit[at, seed_digits]
-    codes = np.unique(powers @ seed_digits)
+    codes = _sorted_unique(powers @ seed_digits)
     tables = itertools.cycle([np.array(t, dtype=np.uint64)
                               for t in (alg.f, alg.p, alg.g, alg.h)])
     idle = 0
@@ -265,7 +277,7 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
             images = tab[tuple(args)].reshape(arity, -1)
             if digit is not None:
                 images = digit[at, images]
-            grown = np.union1d(grown, powers @ images)
+            grown = _sorted_unique(grown, powers @ images)
         idle = idle + 1 if len(grown) == len(codes) else 0
         codes = grown
 

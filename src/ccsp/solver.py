@@ -1,27 +1,37 @@
 """The recursive driver and the semilattice-free base solver.
 
-Driver loop: establish 3-minimality; a semilattice-free instance goes to
-the base solver; an instance with a proper as-component goes through the
-component-exclusion reduction (recursing on strands); otherwise all domains
-are as-components with a semilattice edge somewhere and the retraction
-reduction applies.  Every recursive call and every loop iteration strictly
-decreases the pair (lev, summ) lexicographically, where lev is the maximal
-size of a domain containing a semilattice edge; this is asserted at run
-time and surfaced as an internal error if violated.
+Driver loop: an instance whose domains hold only affine pairs goes to the
+base solver at once; otherwise establish 3-minimality; a semilattice-free
+instance goes to the base solver; an instance with a proper as-component
+goes through the component-exclusion reduction (recursing on strands);
+otherwise all domains are as-components with a semilattice edge somewhere
+and the retraction reduction applies.  Every recursive call and every loop
+iteration strictly decreases the pair (lev, summ) lexicographically, where
+lev is the maximal size of a domain containing a semilattice edge; this is
+asserted at run time and surfaced as an internal error if violated.
 
-Each node establishes 3-minimality once.  A semilattice-free node (lev 0)
-hands its pruned instance and the engine at that fixpoint to the base
-solver, which splits it into the connected components of its constraint
-graph and solves each one by one of two solvers:
+A node whose domains hold only affine pairs (a singleton domain holds
+none) goes straight to the base solver, with no 3-minimality fixpoint and
+no engine: every component there goes to the Maltsev solver, whose compact
+representation (Bulatov and Dalmau, SIAM J. Comput. 36(1), 2006) needs no
+consistency preprocessing, and pruning would leave the domains affine-only.
+Every other node establishes 3-minimality once.  A semilattice-free node
+(lev 0) hands its pruned instance and the engine at that fixpoint to the
+base solver, which splits it into the connected components of its
+constraint graph and solves each one by one of two solvers:
 
-- a component whose domains hold only affine pairs goes to the
-  compact-representation solver driven by the derived Maltsev operation;
+- a component whose domains hold only affine pairs, or no pair at all,
+  goes to the compact-representation solver driven by the derived
+  Maltsev operation;
 - any other component is searched on the node's engine, which undoes
   failed choices through its trail.  On majority-only domains the search
   never backtracks (bounded strict width) and a dead end is an internal
   error; on mixed majority/affine domains it stands in for the polynomial
   generalized majority-minority algorithm (Dalmau, LMCS 2(4), 2006) and
   may take exponential time.
+
+The kinds are read off the pruned domains, so a domain that the fixpoint
+cuts to an affine pair still reaches the Maltsev solver.
 """
 
 from __future__ import annotations
@@ -122,16 +132,23 @@ def _search(engine: Propagator, variables: list,
             ok = engine.assign(v, rest.pop(0))
 
 
-def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
-                           alg: Algebra, engine: Propagator) -> SolveResult:
-    """Base solver on a semilattice-free 3-minimal instance, one connected
-    component of its constraint graph at a time.
+def _kinds(dom: frozenset, graph: EdgeLabeledGraph) -> set:
+    """The kinds of the pairs in a domain; none in a singleton."""
+    return {graph.kind(a, b)
+            for a, b in itertools.combinations(sorted(dom), 2)}
 
-    `engine` is the 3-minimality engine that establish_3_minimality
-    returned together with `inst`.  A component whose domains hold only
-    affine pairs goes to the Maltsev solver; any other is searched on the
-    engine.  No engine table links two components, so a search on one
-    leaves the others at the fixpoint.
+
+def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
+                           alg: Algebra,
+                           engine: Optional[Propagator]) -> SolveResult:
+    """Base solver on a semilattice-free instance, one connected component
+    of its constraint graph at a time.
+
+    A component whose domains hold only affine pairs goes to the Maltsev
+    solver; any other is searched on `engine`, the 3-minimality engine that
+    establish_3_minimality returned together with `inst`.  No engine table
+    links two components, so a search on one leaves the others at the
+    fixpoint.  Without an engine every component must be affine-only.
     """
     if lev(inst, graph):
         raise InvalidArgumentError("instance is not semilattice-free")
@@ -145,14 +162,17 @@ def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
                 raise InternalInvariantError(
                     f"derived operation misbehaves on domain of {v!r}: "
                     f"{bad[0]}")
-            kinds_of[dom] = {graph.kind(a, b)
-                             for a, b in itertools.combinations(sorted(dom), 2)}
+            kinds_of[dom] = _kinds(dom, graph)
     assignment = {}
     for variables in connected_groups(inst.variables,
                                       [c.scope for c in inst.constraints]):
         kinds = set().union(*(kinds_of[inst.domains[v]] for v in variables))
-        if kinds == {AFFINE}:
+        if kinds <= {AFFINE}:
             res = _solve_affine(inst, variables, m)
+        elif engine is None:
+            raise InternalInvariantError(
+                f"component of {variables[0]!r} needs the search and the "
+                "node has no 3-minimality engine")
         else:
             res = _search(engine, variables, kinds <= {MAJORITY})
         if not res.is_sat:
@@ -190,6 +210,10 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
         trace.nodes += 1
         trace.depth = max(trace.depth, depth)
         while True:
+            if all(_kinds(dom, graph) <= {AFFINE}
+                   for dom in set(cur.domains.values())):
+                trace.bump("sfree")
+                return solve_semilattice_free(cur, graph, alg, None)
             est = establish_3_minimality(cur)
             if est is None:
                 return UNSAT

@@ -4,7 +4,7 @@ import pytest
 
 from ccsp.classify import (AFFINE, MAJORITY, ConstraintLanguage,
                            EdgeLabeledGraph, PairLabel, semilattice_label)
-from ccsp import solver
+from ccsp import minimality, solver
 from ccsp.errors import InternalInvariantError, InvalidArgumentError
 from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve, canonical_a3,
                           canonical_algebra, gen_algebra, gen_instance)
@@ -12,6 +12,8 @@ from ccsp.minimality import establish_3_minimality
 from ccsp.model import Instance, close_under_ops, relation, verify_assignment
 from ccsp.solver import (_search, classify_and_solve, lev, solve,
                          solve_semilattice_free)
+from test_maltsev import (PARITY_ALG, PARITY_GRAPH, gf2_consistent,
+                          parity_instance)
 from test_minimality import mixed_instances
 
 
@@ -74,6 +76,14 @@ def test_sl_free_rejects_semilattice_domains():
     inst = Instance(["v"], {"v": {0, 1}}, [], alg)
     with pytest.raises(InvalidArgumentError):
         base_solve(inst, graph, alg)
+
+
+def test_sl_free_without_engine_refuses_a_search():
+    graph = graph_of(2, MAJORITY)
+    alg = canonical_algebra(graph)
+    inst = Instance(["x"], {"x": {0, 1}}, [], alg)
+    with pytest.raises(InternalInvariantError, match="no 3-minimality engine"):
+        solve_semilattice_free(inst, graph, alg, None)
 
 
 def test_mixed_base_solver():
@@ -231,6 +241,128 @@ def test_stalled_measure_raises(monkeypatch, measure, make, message):
     monkeypatch.setattr(solver, measure, lambda *args: 7)
     with pytest.raises(InternalInvariantError, match=message):
         solve(inst, alg, graph)
+
+
+# -- affine-only nodes skip the 3-minimality fixpoint --------------------------
+
+def spy_on(monkeypatch, name, module=solver):
+    """Replace `module.<name>` by a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
+
+
+def xor_equations(n, count, tag):
+    rng = Rng(n).split("xor", tag)
+    return [(*rng.sample(range(n), 3), rng.randint(0, 1))
+            for _ in range(count)]
+
+
+def check_parity_verdict(n, equations, res):
+    assert res.is_sat == gf2_consistent(equations), (n, equations)
+    assert not res.is_sat or all(
+        res.assignment[f"x{i}"] ^ res.assignment[f"x{j}"]
+        ^ res.assignment[f"x{k}"] == c for i, j, k, c in equations)
+
+
+def test_three_xor_systems_skip_the_fixpoint(monkeypatch):
+    """Every domain of a 3-XOR system is the affine pair {0,1}: the root
+    goes to the Maltsev solver with no fixpoint and no engine, and the
+    verdicts are brute force's and GF(2) elimination's."""
+    fixpoints = spy_on(monkeypatch, "establish_3_minimality")
+    propagators = spy_on(monkeypatch, "Propagator", minimality)
+    verdicts = []
+    for n in (10, 12, 14):
+        for seed in range(6):
+            equations = xor_equations(n, n * (7 + seed) // 10, f"{n}/{seed}")
+            inst = parity_instance(n, equations)
+            res, trace = solve(inst, PARITY_ALG, PARITY_GRAPH)
+            assert res.status == brute_force_solve(inst).status
+            check_parity_verdict(n, equations, res)
+            assert trace.branch_counts == {"sfree": 1}
+            verdicts.append(res.is_sat)
+    for density in (0.8, 1.0):
+        equations = xor_equations(120, int(density * 120), f"120/{density}")
+        res, _trace = solve(parity_instance(120, equations), PARITY_ALG,
+                            PARITY_GRAPH)
+        check_parity_verdict(120, equations, res)
+        verdicts.append(res.is_sat)
+    assert fixpoints == [] and propagators == []
+    assert True in verdicts and False in verdicts
+
+
+def test_contradicting_equations_on_one_triple_unsat_by_maltsev(monkeypatch):
+    """x+y+z = 0 and x+y+z = 1, which the fixpoint refutes on its own;
+    the node is affine-only, so the verdict comes from the Maltsev
+    solver."""
+    fixpoints = spy_on(monkeypatch, "establish_3_minimality")
+    maltsev_calls = spy_on(monkeypatch, "solve_with_maltsev")
+    inst = parity_instance(3, [(0, 1, 2, 0), (0, 1, 2, 1)])
+    assert establish_3_minimality(inst) is None
+    res, trace = solve(inst, PARITY_ALG, PARITY_GRAPH)
+    assert not res.is_sat and not brute_force_solve(inst).is_sat
+    assert trace.branch_counts == {"sfree": 1}
+    assert fixpoints == [] and len(maltsev_calls) == 1
+
+
+def test_singleton_domains_solved(monkeypatch):
+    """Singleton domains hold no pair, so the node is affine-only even in
+    an algebra with majority and semilattice pairs; each component goes to
+    the Maltsev solver."""
+    fixpoints = spy_on(monkeypatch, "establish_3_minimality")
+    searches = spy_on(monkeypatch, "_search")
+    alg, graph = canonical_a3()
+    inst = Instance(["x", "y", "z"], {"x": {1}, "y": {0}, "z": {2}},
+                    [(("x", "y"), relation([(1, 0)]))], alg)
+    res, trace = solve(inst, alg, graph)
+    assert res.is_sat and res.assignment == {"x": 1, "y": 0, "z": 2}
+    assert trace.branch_counts == {"sfree": 1}
+    assert fixpoints == [] and searches == []
+
+
+def test_singleton_domains_after_the_fixpoint_go_to_maltsev(monkeypatch):
+    """A {0,2} majority domain that the fixpoint pins to one value leaves
+    a component of singletons: it goes to the Maltsev solver, not the
+    search."""
+    searches = spy_on(monkeypatch, "_search")
+    maltsev_calls = spy_on(monkeypatch, "solve_with_maltsev")
+    alg = canonical_algebra(mixed_graph())
+    pin = relation([(0,)], signature=[{0, 2}])
+    inst = Instance(["a", "b"], {"a": {0, 2}, "b": {0, 2}},
+                    [(("a",), pin), (("a", "b"), relation([(0, 2)]))], alg)
+    res, trace = solve(inst, alg, mixed_graph())
+    assert res.is_sat and res.assignment == {"a": 0, "b": 2}
+    assert trace.branch_counts == {"sfree": 1}
+    assert searches == [] and len(maltsev_calls) == 1
+
+
+def test_pruned_mixed_domain_reaches_maltsev_not_search(monkeypatch):
+    """w starts on {0,1,2}, with majority pairs, and an equality with x0
+    cuts it to {0,1}.  The node is not affine-only, so the fixpoint runs,
+    and the kinds are decided on the pruned domains: w's component, the
+    whole 3-XOR system, goes to the Maltsev solver."""
+    fixpoints = spy_on(monkeypatch, "establish_3_minimality")
+    searches = spy_on(monkeypatch, "_search")
+    affine = spy_on(monkeypatch, "_solve_affine")
+    equations = xor_equations(30, 24, "pruned-w")
+    inst = parity_instance(30, equations)
+    equal = relation([(0, 0), (1, 1)])
+    inst = Instance([*inst.variables, "w"], {**inst.domains, "w": {0, 1, 2}},
+                    [*inst.constraints, (("w", "x0"), equal)], PARITY_ALG)
+    res, trace = solve(inst, PARITY_ALG, PARITY_GRAPH)
+    check_parity_verdict(30, equations, res)
+    assert res.is_sat and res.assignment["w"] == res.assignment["x0"]
+    assert len(fixpoints) == 1 and searches == []
+    assert trace.branch_counts == {"sfree": 1}
+    (pruned, variables, _m), = [call for call in affine if "w" in call[1]]
+    assert "x0" in variables and len(variables) > 2
+    assert pruned.domains["w"] == {0, 1}
 
 
 # -- classify_and_solve ---------------------------------------------------------

@@ -12,8 +12,8 @@ from pathlib import Path
 from ccsp import maltsev
 from ccsp.classify import (AFFINE, ConstraintLanguage, EdgeLabeledGraph,
                            PairLabel, classify_language)
-from ccsp.harness import (GeneratorConfig, canonical_algebra, gen_algebra,
-                          gen_planted_instance)
+from ccsp.harness import (GeneratorConfig, Rng, canonical_algebra,
+                          gen_algebra, gen_planted_instance)
 from ccsp.maltsev import restrict
 from ccsp.model import Instance, relation
 from ccsp.solver import solve
@@ -83,3 +83,26 @@ def test_tracer_counts_maltsev_restricts(monkeypatch):
     assert tracer.counts["maltsev.restricts"] == len(restricts) >= 1
     assert tracer.counts["maltsev.rows"] > 0
     assert "maltsev" in {span[0] for span in tracer.spans}
+
+
+def test_trace_shows_parity_nodes_skip_the_fixpoint():
+    """A 3-XOR system over the affine pair {0,1} records Maltsev spans and
+    no 3-minimality span: its node goes to the Maltsev solver directly."""
+    graph = EdgeLabeledGraph(2, {(0, 1): PairLabel(AFFINE)})
+    alg = canonical_algebra(graph)
+    xor = {c: relation([t for t in itertools.product((0, 1), repeat=3)
+                        if sum(t) % 2 == c]) for c in (0, 1)}
+    rng = Rng(0).split("traced-parity")
+    names = [f"x{i}" for i in range(24)]
+    inst = Instance(names, {v: {0, 1} for v in names},
+                    [(tuple(rng.sample(names, 3)), xor[rng.randint(0, 1)])
+                     for _ in range(20)], alg)
+    tracing = load_tracing()
+    with tracing.installed(tracing.Tracer()) as tracer:
+        _res, trace = solve(inst, alg, graph)
+    layers = [span[0] for span in tracer.spans]
+    assert trace.branch_counts == {"sfree": 1}
+    assert "maltsev" in layers and "solver.base" in layers
+    assert "minimality" not in layers
+    assert tracer.counts["minimality.pair_tables"] == 0
+    assert tracer.self_times()["minimality"] == 0.0
