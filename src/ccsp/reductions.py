@@ -1,10 +1,11 @@
 """The two problem reductions used by the solver.
 
 1. Component exclusion: choose one as-component per variable meeting every
-   constraint (a consistent collection), split the instance along strands,
-   cutting every constraint along them in one pass, and either combine the
-   strand solutions or exclude a failed strand's components from the
-   domains.
+   constraint (a consistent collection), split the instance along the
+   strands with a choice left, cutting every constraint along them in one
+   pass, and either combine the strand solutions with the one value of
+   every other variable's component or exclude a failed strand's
+   components from the domains.
 
 2. Retraction via the multiplied instance: build an instance over variables
    (v, b) whose solutions induce consistent self-maps of the domains;
@@ -41,6 +42,11 @@ def find_consistent_collection(inst: Instance, graph: EdgeLabeledGraph,
     choice must meet the constraints and the pair and triple tables of the
     instance's 3-minimality `engine`.
 
+    Each constraint is checked again whenever one of its variables is
+    chosen, the last time with all of them chosen, so every constraint
+    keeps a tuple inside the chosen components; split_by_strands relies on
+    this to solve a strand of singleton components without recursion.
+
     On a 3-minimal instance some extension always exists; failure to extend
     therefore signals an upstream bug and raises loudly.
     """
@@ -68,18 +74,27 @@ def find_consistent_collection(inst: Instance, graph: EdgeLabeledGraph,
 
 def split_by_strands(inst: Instance, coll: ConsistentCollection
                      ) -> list[tuple[frozenset, Instance]]:
-    """Each strand with its sub-instance over the chosen components.
+    """Each strand with a choice left (a chosen component of more than one
+    value) with its sub-instance over the chosen components.
 
-    One pass cuts every constraint along the strands it meets: a strand
-    gets, unless it holds them already, the tuples whose values at its
-    positions lie in the chosen components, projected onto those positions.
+    A strand whose chosen components are all singletons is left out: the
+    one value of each component solves it.  Every constraint keeps a tuple
+    inside the chosen components (see find_consistent_collection), and on
+    such a strand that tuple's values are the forced ones, so it satisfies
+    the constraint's cut there and the strand cannot fail.
+
+    One pass cuts every constraint along the returned strands it meets: a
+    strand gets, unless it holds them already, the tuples whose values at
+    its positions lie in the chosen components, projected onto those
+    positions.
     """
-    strands = strands_of_instance(inst, coll)
+    strands = [strand for strand in strands_of_instance(inst, coll)
+               if any(len(coll[v]) > 1 for v in strand)]
     home = {v: k for k, strand in enumerate(strands) for v in strand}
     cons: list[dict] = [{} for _ in strands]  # (scope, tuples) -> constraint
     for scope, rel in inst.constraints:
-        for k in dict.fromkeys(home[v] for v in scope):
-            pos = [i for i, v in enumerate(scope) if home[v] == k]
+        for k in dict.fromkeys(home[v] for v in scope if v in home):
+            pos = [i for i, v in enumerate(scope) if home.get(v) == k]
             sub = tuple(scope[i] for i in pos)
             doms = [coll[v] for v in sub]
             tuples = frozenset(tuple(t[i] for i in pos) for t in rel.tuples

@@ -3,7 +3,9 @@
 Driver loop: an instance whose domains hold only affine pairs goes to the
 base solver at once; otherwise establish 3-minimality; a semilattice-free
 instance goes to the base solver; an instance with a proper as-component
-goes through the component-exclusion reduction (recursing on strands);
+goes through the component-exclusion reduction, recursing only on the
+strands with a choice left (a chosen component of more than one value),
+while every other variable takes the one value of its chosen component;
 otherwise all domains are as-components with a semilattice edge somewhere
 and the retraction reduction applies.  Every recursive call and every loop
 iteration strictly decreases the pair (lev, summ) lexicographically, where
@@ -230,7 +232,9 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
             if has_proper:
                 trace.bump("exclusion")
                 coll = find_consistent_collection(pruned, graph, engine)
-                solutions = []
+                # the strands split_by_strands leaves out: one value each
+                solutions = [{v: min(c) for v, c in coll.items()
+                              if len(c) == 1}]
                 for strand, sub in split_by_strands(pruned, coll):
                     check_less(sub, here, "a strand sub-instance")
                     res = inner(sub, depth + 1)

@@ -11,7 +11,7 @@ from ccsp.harness import (GeneratorConfig, brute_force_solve, canonical_a3,
 from ccsp.minimality import establish_3_minimality
 from ccsp.model import (Constraint, Instance, close_under_ops, project,
                         relation, restrict_relation, summ, verify_assignment)
-from ccsp.structure import as_components
+from ccsp.structure import as_components, strands_of_instance
 from ccsp.reductions import (arc_free_elements, arc_free_restriction,
                              combine_solutions, exclude_components,
                              find_consistent_collection, idempotent_power,
@@ -90,11 +90,13 @@ def test_split_product_into_unary(a3):
     inst = Instance(["v", "w"], {"v": {0, 1}, "w": {1, 2}},
                     [(("v", "w"), rr)], alg)
     coll = {"v": frozenset({1}), "w": frozenset({1, 2})}
-    split = split_by_strands(inst, coll)
-    assert [strand for strand, _sub in split] == [{"v"}, {"w"}]
-    subs = [sub for _strand, sub in split]
-    assert [s.variables for s in subs] == [("v",), ("w",)]
-    assert subs[0].domains["v"] == {1}
+    assert strands_of_instance(inst, coll) == [{"v"}, {"w"}]
+    # v's strand has no choice left, so only w's is returned
+    [(strand, sub)] = split_by_strands(inst, coll)
+    assert strand == {"w"}
+    assert sub.variables == ("w",)
+    assert sub.domains == {"w": {1, 2}}
+    assert list(sub.constraints) == _strand_constraints(inst, coll, strand)
 
 
 def test_split_single_strand_keeps_instance(a3):
@@ -172,17 +174,28 @@ def test_split_matches_project_then_restrict():
         coll = find_consistent_collection(pruned, graph, engine)
         split = split_by_strands(pruned, coll)
         strands = [strand for strand, _sub in split]
+        left_out = [strand for strand in strands_of_instance(pruned, coll)
+                    if strand not in strands]
         assert all(strands), seed
-        assert sum(map(len, strands)) == len(pruned.variables), seed
-        assert set().union(*strands) == set(pruned.variables), seed
+        assert sum(map(len, strands + left_out)) == len(pruned.variables), \
+            seed
+        assert set().union(*strands, *left_out) == set(pruned.variables), \
+            seed
         for strand, sub in split:
+            assert any(len(coll[v]) > 1 for v in strand), seed
             assert sub.variables == tuple(v for v in pruned.variables
                                           if v in strand), seed
             assert sub.domains == {v: coll[v] for v in strand}, seed
             assert list(sub.constraints) == _strand_constraints(
                 pruned, coll, strand), seed
+        for strand in left_out:
+            forced = {v: min(coll[v]) for v in strand}
+            assert all(len(coll[v]) == 1 for v in strand), seed
+            assert all(tuple(forced[v] for v in scope) in rel
+                       for scope, rel in _strand_constraints(
+                           pruned, coll, strand)), seed
         checked += 1
-        several += len(split) > 1
+        several += len(strands + left_out) > 1
     assert checked >= 200 and several >= 50, (checked, several)
 
 

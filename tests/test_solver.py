@@ -10,8 +10,10 @@ from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve, canonical_a3,
                           canonical_algebra, gen_algebra, gen_instance)
 from ccsp.minimality import establish_3_minimality
 from ccsp.model import Instance, close_under_ops, relation, verify_assignment
+from ccsp.reductions import find_consistent_collection
 from ccsp.solver import (_search, classify_and_solve, lev, solve,
                          solve_semilattice_free)
+from ccsp.structure import strands_of_instance
 from test_maltsev import (PARITY_ALG, PARITY_GRAPH, gf2_consistent,
                           parity_instance)
 from test_minimality import mixed_instances
@@ -463,6 +465,66 @@ def test_exclusion_restart_on_failed_parity_strand():
     assert res.status == brute_force_solve(inst).status == "sat"
     assert res.assignment == {v: 2 for v in names}
     assert trace.branch_counts.get("exclusion-restart", 0) >= 1
+
+
+# -- component exclusion decides singleton strands in place ------------------
+
+def singleton_strand_instance(pin_x: bool):
+    """A root exclusion node: 1 -> 0 is a semilattice arc, so every {0,1}
+    domain has the one component {0}, and {0,2} is affine, the component
+    of {0,1,2}.  u, w and y fall into one-variable strands of singleton
+    components; the diagonal ties v and x into one strand on {0,2}, the
+    only one with a choice left.  `pin_x` cuts x to {1,2}, whose chosen
+    component is {1}, so then no strand has a choice left."""
+    graph = EdgeLabeledGraph(3, {(0, 1): semilattice_label([(1, 0)]),
+                                 (0, 2): PairLabel(AFFINE),
+                                 (1, 2): PairLabel(MAJORITY)})
+    alg = canonical_algebra(graph)
+    order = close_under_ops([(0, 0), (0, 1), (1, 1)], alg)
+    link = close_under_ops([(0, 0), (0, 2), (1, 1)], alg)
+    diag = relation([(a, a) for a in range(3)])
+    doms = {"u": {0, 1}, "v": {0, 1, 2}, "w": {0, 1}, "x": {0, 1, 2},
+            "y": {0, 1}}
+    cons = [(("u", "w"), order), (("v", "x"), diag), (("w", "v"), link)]
+    if pin_x:
+        cons.append((("x",), relation([(1,), (2,)], signature=[{0, 1, 2}])))
+    return Instance(list(doms), doms, cons, alg), alg, graph
+
+
+@pytest.mark.parametrize("pin_x, choice_strands", [(False, 1), (True, 0)])
+def test_exclusion_recurses_only_into_strands_with_a_choice(
+        monkeypatch, pin_x, choice_strands):
+    """The base solver never runs on a singleton strand: the root and one
+    node per strand with a choice left are all the nodes there are."""
+    base_calls = spy_on(monkeypatch, "solve_semilattice_free")
+    inst, alg, graph = singleton_strand_instance(pin_x)
+    pruned, engine = establish_3_minimality(inst)
+    coll = find_consistent_collection(pruned, graph, engine)
+    strands = strands_of_instance(pruned, coll)
+    assert len(strands) == 4
+    res, trace = solve(inst, alg, graph)
+    assert trace.branch_counts["exclusion"] == 1
+    assert trace.nodes == 1 + choice_strands < 1 + len(strands)
+    assert len(base_calls) == choice_strands
+    assert all(any(len(sub.domains[v]) > 1 for v in sub.variables)
+               for sub, *_rest in base_calls)
+    want = brute_force_solve(inst)
+    assert res.status == want.status == "sat"
+    assert res.assignment == want.assignment
+
+
+def test_broken_singleton_component_fails_the_combination(monkeypatch):
+    """A collection whose singleton component breaks a constraint is caught
+    when the strand solutions are merged, not returned as a solution."""
+    inst, alg, graph = singleton_strand_instance(False)
+    bad = {"u": frozenset({1}), "v": frozenset({0, 2}), "w": frozenset({0}),
+           "x": frozenset({0, 2}), "y": frozenset({0})}
+    assert (1, 0) not in inst.constraints[0].relation
+    monkeypatch.setattr(solver, "find_consistent_collection",
+                        lambda *args: bad)
+    with pytest.raises(InternalInvariantError,
+                       match="strand combination violates"):
+        solve(inst, alg, graph)
 
 
 def test_repeated_variable_scope_through_full_solve():

@@ -17,6 +17,7 @@ from ccsp.harness import (GeneratorConfig, Rng, canonical_algebra,
 from ccsp.maltsev import restrict
 from ccsp.model import Instance, relation
 from ccsp.solver import solve
+from test_solver import singleton_strand_instance
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -106,3 +107,18 @@ def test_trace_shows_parity_nodes_skip_the_fixpoint():
     assert "minimality" not in layers
     assert tracer.counts["minimality.pair_tables"] == 0
     assert tracer.self_times()["minimality"] == 0.0
+
+
+def test_trace_shows_singleton_strands_skip_the_base_solver():
+    """Of the four strands of an exclusion node, only the one with a
+    choice left records a base-solver and a Maltsev span; the singleton
+    strands are decided in place."""
+    inst, alg, graph = singleton_strand_instance(False)
+    tracing = load_tracing()
+    with tracing.installed(tracing.Tracer()) as tracer:
+        res, trace = solve(inst, alg, graph)
+    assert res.is_sat
+    assert trace.branch_counts == {"exclusion": 1, "sfree": 1}
+    assert tracer.outermost("solver.base") == 1
+    assert tracer.outermost("maltsev") == 1
+    assert tracer.outermost("reductions.exclusion") >= 1
