@@ -5,7 +5,8 @@ conservative polymorphism whose restriction to {a, b} is semilattice,
 majority, or affine (in that precedence order).  A language with every pair
 labeled is tractable; a single unlabeled pair makes it NP-complete.  For
 tractable languages we synthesize one quadruple of operation tables
-(f, p, g, h) behaving uniformly on all pairs.
+(f, p, g, h) behaving uniformly on all pairs: f is composed from one
+semilattice witness per pair, and p, g and h are searched once each.
 """
 
 from __future__ import annotations
@@ -28,21 +29,19 @@ NONE = "none"
 @dataclass(frozen=True)
 class PairLabel:
     kind: str
-    # achievable semilattice orientations, as (source, sink) arcs
-    directions: tuple[tuple[int, int], ...] = ()
-    # the orientation the synthesized f realizes (semilattice only)
+    # the semilattice orientation, as a (source, sink) arc
     orientation: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         if self.kind not in (SEMILATTICE, MAJORITY, AFFINE, NONE):
             raise InvalidArgumentError(f"unknown label kind {self.kind!r}")
-        if self.kind == SEMILATTICE and not self.directions:
+        if self.kind == SEMILATTICE and not self.orientation:
             raise InvalidArgumentError("semilattice label needs a direction")
 
 
 def semilattice_label(directions: Sequence[tuple[int, int]]) -> PairLabel:
-    dirs = tuple(dict.fromkeys(tuple(d) for d in directions))
-    return PairLabel(SEMILATTICE, dirs, min(dirs))  # smaller source wins
+    # smaller source wins
+    return PairLabel(SEMILATTICE, min(map(tuple, directions), default=None))
 
 
 class EdgeLabeledGraph:
@@ -74,16 +73,10 @@ class EdgeLabeledGraph:
 
     def with_orientations_from(self, f) -> "EdgeLabeledGraph":
         """Re-orient semilattice pairs to match a concrete f table."""
-        new = {}
-        for (a, b), lab in self.labels.items():
-            if lab.kind == SEMILATTICE:
-                ori = (a, b) if f[a][b] == b and f[b][a] == b else (b, a)
-                dirs = lab.directions if ori in lab.directions \
-                    else lab.directions + (ori,)
-                new[(a, b)] = PairLabel(SEMILATTICE, dirs, ori)
-            else:
-                new[(a, b)] = lab
-        return EdgeLabeledGraph(self.size, new)
+        return EdgeLabeledGraph(self.size, {
+            (a, b): PairLabel(SEMILATTICE, (a, b) if f[a][b] == f[b][a] == b
+                              else (b, a)) if lab.kind == SEMILATTICE else lab
+            for (a, b), lab in self.labels.items()})
 
     def __eq__(self, other):
         return (isinstance(other, EdgeLabeledGraph)
@@ -144,11 +137,19 @@ def _network(lang: ConstraintLanguage, arity: int,
     return networks[arity]
 
 
+def _semilattice_witness(lang: ConstraintLanguage, arc: tuple[int, int],
+                         networks: dict[int, Network]):
+    """A binary polymorphism joining toward the sink of `arc`, or None."""
+    src, snk = arc
+    return search_operation(_network(lang, 2, networks),
+                            {(src, snk): snk, (snk, src): snk})
+
+
 def classify_pair(lang: ConstraintLanguage, a: int, b: int,
                   networks: Optional[dict[int, Network]] = None) -> PairLabel:
     """Label one pair by searching for conservative polymorphisms.
 
-    Precedence: semilattice (either orientation) beats majority beats
+    Precedence: semilattice (smaller source first) beats majority beats
     affine; `none` means no tractable restriction exists.  `networks` holds
     the language's compiled networks by arity, shared between calls on the
     same language and filled as needed.
@@ -156,22 +157,14 @@ def classify_pair(lang: ConstraintLanguage, a: int, b: int,
     if a == b or a not in range(lang.size) or b not in range(lang.size):
         raise InvalidArgumentError(f"bad pair ({a}, {b})")
     nets = {} if networks is None else networks
-    dirs = []
-    for (src, snk) in ((min(a, b), max(a, b)), (max(a, b), min(a, b))):
-        found = search_operation(_network(lang, 2, nets),
-                                 {(src, snk): snk, (snk, src): snk})
-        if found is not None:
-            dirs.append((src, snk))
-    if dirs:
-        return semilattice_label(dirs)
+    for arc in ((min(a, b), max(a, b)), (max(a, b), min(a, b))):
+        if _semilattice_witness(lang, arc, nets) is not None:
+            return PairLabel(SEMILATTICE, arc)
 
-    pinned_maj = {c: _majority_value(*c) for c in _pair_cells(a, b, 3)}
-    if search_operation(_network(lang, 3, nets), pinned_maj) is not None:
-        return PairLabel(MAJORITY)
-
-    pinned_aff = {c: _minority_value(*c) for c in _pair_cells(a, b, 3)}
-    if search_operation(_network(lang, 3, nets), pinned_aff) is not None:
-        return PairLabel(AFFINE)
+    for kind, value in ((MAJORITY, _majority_value), (AFFINE, _minority_value)):
+        pinned = {c: value(*c) for c in _pair_cells(a, b, 3)}
+        if search_operation(_network(lang, 3, nets), pinned) is not None:
+            return PairLabel(kind)
 
     return PairLabel(NONE)
 
@@ -221,22 +214,14 @@ def _first_argument_table(size: int, arity: int, pins: dict):
         for cell in itertools.product(range(size), repeat=arity)})
 
 
-def _build_f(size: int, orientation):
-    """f joins toward the sink of each oriented (source, sink) pair and is
-    the first projection elsewhere."""
-    pins = {}
-    for src, snk in orientation:
-        pins[(src, snk)] = pins[(snk, src)] = snk
-    return _first_argument_table(size, 2, pins)
-
-
 def canonical_algebra(graph: EdgeLabeledGraph) -> Algebra:
     """Tables determined by the labels alone: f joins along the labels'
     semilattice orientations, p, g and h follow `_pair_rule`, and every
     table takes its first argument elsewhere."""
     n = graph.size
-    f = _build_f(n, [graph.label(a, b).orientation for (a, b) in graph.pairs()
-                     if graph.kind(a, b) == SEMILATTICE])
+    f = _first_argument_table(n, 2, {
+        cell: graph.label(a, b).orientation[1] for (a, b) in graph.pairs()
+        if graph.kind(a, b) == SEMILATTICE for cell in ((a, b), (b, a))})
     p, g, h = (_first_argument_table(n, _ARITY[op], _pair_pins(graph, f, op))
                for op in "pgh")
     return Algebra(n, f, p, g, h)
@@ -245,36 +230,52 @@ def canonical_algebra(graph: EdgeLabeledGraph) -> Algebra:
 def synthesize_uniform_ops(lang: ConstraintLanguage, graph: EdgeLabeledGraph,
                            networks: Optional[dict[int, Network]] = None
                            ) -> Algebra:
-    """Search operation tables realizing the uniform pair behavior.
+    """Operation tables realizing the uniform pair behavior.
 
-    For each choice of semilattice orientations, smaller source first, f,
-    p, g and h are searched in turn on the language's networks with their
-    `_pair_pins`.  f and p are pinned on every non-constant cell, so their
-    searches check that they preserve the relations; free ternary cells
-    prefer their first argument.  `networks` as for `classify_pair`.
+    f starts as the first projection.  For each semilattice pair {a, b} it
+    does not join, a polymorphism w joining {a, b} along the label is
+    searched, and f(x,y) becomes w(f(x,y), f(y,x)), which keeps f's joins.
+    Last, f(x,y) becomes f(f(x,y), x), the first projection on every pair
+    f does not join.  f preserves the relations as a composition of
+    polymorphisms; `classify_language` re-reads its orientations.  No
+    polymorphism joins a pair that `classify_pair` labels majority or
+    affine; under other labels such a join fails synthesis.
+
+    p, g and h are searched once each with their `_pair_pins`; free
+    ternary cells prefer their first argument.  If any (f0, p0, g0, h0)
+    realizes the labels, then p = f(p0(x,y), f(x,y)),
+    g = f(g0(x,y,z), f(f(x,y),z)) and h = f(h0(x,y,z), f(f(x,y),z)) follow
+    `_pair_rule` for this f, so the complete search cannot fail.
+    `networks` as for `classify_pair`.
     """
     nets = {} if networks is None else networks
-    if graph.pairs() != list(itertools.combinations(range(lang.size), 2)) \
+    n = lang.size
+    if graph.pairs() != list(itertools.combinations(range(n), 2)) \
             or any(graph.kind(a, b) == NONE for (a, b) in graph.pairs()):
         raise InvalidArgumentError("synthesis requires a fully labeled graph")
-    choice_lists = [sorted(graph.label(a, b).directions)
-                    for (a, b) in graph.pairs()
-                    if graph.kind(a, b) == SEMILATTICE]
-
-    for combo in itertools.product(*choice_lists):
-        f = _build_f(lang.size, combo)
-        tables = []
-        for op, arity in _ARITY.items():
-            cells = search_operation(_network(lang, arity, nets),
-                                     _pair_pins(graph, f, op))
-            if cells is None:
-                break
-            tables.append(table_from_assignment(lang.size, arity, cells))
-        else:
-            return Algebra(lang.size, *tables)
-    raise SynthesisFailureError(
-        "no conservative tables realize the uniform pair behavior; "
-        "the labeling is wrong or the language violates the classifier's hypotheses")
+    f = [[x] * n for x in range(n)]
+    for (a, b) in graph.pairs():
+        if graph.kind(a, b) != SEMILATTICE or f[a][b] == f[b][a]:
+            continue
+        w = _semilattice_witness(lang, graph.label(a, b).orientation, nets)
+        if w is None:
+            raise SynthesisFailureError(f"no semilattice witness on pair "
+                                        f"({a},{b}) along its label")
+        f = [[w[(f[x][y], f[y][x])] for y in range(n)] for x in range(n)]
+    f = tuple(tuple(f[f[x][y]][x] for y in range(n)) for x in range(n))
+    for (a, b) in graph.pairs():
+        if graph.kind(a, b) != SEMILATTICE and f[a][b] == f[b][a]:
+            raise SynthesisFailureError(
+                f"f joins the {graph.kind(a, b)} pair ({a},{b})")
+    tables = [f]
+    for op in "pgh":
+        cells = search_operation(_network(lang, _ARITY[op], nets),
+                                 _pair_pins(graph, f, op))
+        if cells is None:
+            raise SynthesisFailureError(
+                f"no {op} table realizes the uniform pair behavior")
+        tables.append(table_from_assignment(n, _ARITY[op], cells))
+    return Algebra(n, *tables)
 
 
 def classify_language(lang: ConstraintLanguage) -> ClassifierVerdict:
@@ -298,7 +299,7 @@ def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph) -> list[str]:
     Returns violation records with witnesses; empty means all laws hold.
     """
     out = list(algebra_violations(alg))
-    f, p, g, h = alg.f, alg.p, alg.g, alg.h
+    f = alg.f
     for (a, b) in graph.pairs():
         kind = graph.kind(a, b)
         if kind == NONE:
@@ -306,12 +307,9 @@ def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph) -> list[str]:
             continue
         if kind == SEMILATTICE:
             src, snk = graph.label(a, b).orientation
-            if not (f[src][snk] == snk and f[snk][src] == snk):
+            if not f[src][snk] == f[snk][src] == snk:
                 out.append(f"f must join toward {snk} on semilattice pair ({a},{b})")
-        else:
-            if f[a][b] != a or f[b][a] != b:
-                out.append(f"f must be first projection on {kind} pair ({a},{b})")
-        for name, table in (("p", p), ("g", g), ("h", h)):
+        for name, table in alg.all_ops().items():
             for cell in _pair_cells(a, b, _ARITY[name]):
                 got = functools.reduce(lambda node, x: node[x], cell, table)
                 want = _pair_rule(name, kind, f, cell)

@@ -305,16 +305,15 @@ def restrict(rep: Representation, scope: Sequence[int],
     return out
 
 
-def extend(rep: Representation, scope: Sequence[int],
-           allowed: Iterable[Row], m: Sequence) -> Representation:
-    """Representation of {(r, f) : r in R, (r|O, f) in C} from one of R.
+def extend(rep: Representation, old: Sequence[int],
+           fibers: dict[Row, list[Row]], m: Sequence) -> Representation:
+    """Representation of {(r, f) : r in R, f in fibers[r|O]} from one of R.
 
-    C is `allowed` on `scope`, whose positions are R's positions O, below
-    rep.n, and the new positions rep.n, rep.n + 1, ..., which f gives.
-    Every point of R on O must lie in pr_O(C); `restrict` cuts R to it."""
-    fibers = _fibers(scope, allowed, rep.n)
-    old = sorted({p for p in scope if p < rep.n})
-    out = Representation(n=rep.n + len(set(scope)) - len(old))
+    O is `old`, ascending positions of R, and `fibers` is a constraint's
+    `_fibers`: f gives the new positions rep.n, rep.n + 1, ...  Every point
+    of R on O must be a key of `fibers`, which is not empty; `restrict`
+    cuts R to them."""
+    out = Representation(n=rep.n + len(next(iter(fibers.values()))[0]))
     if rep.empty:
         return out
     for row in rep.rows:
@@ -396,7 +395,7 @@ def solve_with_maltsev(domains: Sequence[Sequence[int]],
             if rep.empty:
                 return None
         if new:
-            rep = extend(rep, at, allowed, m)
+            rep = extend(rep, old, fibers, m)
     row = min(rep.rows)
     return tuple([row[position[c]] if c in position else min(domains[c])
                   for c in range(len(domains))])

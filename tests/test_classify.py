@@ -1,17 +1,20 @@
 import itertools
+import time
 from collections import Counter
 
 import pytest
 
+from ccsp import classify
 from ccsp.classify import (AFFINE, MAJORITY, NONE, SEMILATTICE,
                            ConstraintLanguage, EdgeLabeledGraph, PairLabel,
                            check_uniformity_laws, classify_language,
                            classify_pair, derive_m, semilattice_label,
                            synthesize_uniform_ops)
 from ccsp.errors import InvalidArgumentError, SynthesisFailureError
-from ccsp.harness import Rng, canonical_a3, canonical_algebra
+from ccsp.harness import (GeneratorConfig, Rng, canonical_a3,
+                          canonical_algebra, gen_algebra, gen_closed_relation)
 from ccsp.indicator import Network, search_operation, table_from_assignment
-from ccsp.model import Algebra, preservation_witness, relation
+from ccsp.model import Algebra, close_under_ops, preservation_witness, relation
 
 
 def lang2(*tuple_sets):
@@ -24,10 +27,11 @@ XOR3 = lang2([t for t in itertools.product((0, 1), repeat=3) if sum(t) % 2 == 0]
 ONE_IN_3 = lang2([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
-def test_order_is_semilattice_both_directions():
-    lab = classify_pair(ORDER, 0, 1)
-    assert lab.kind == SEMILATTICE
-    assert set(lab.directions) == {(0, 1), (1, 0)}
+def test_order_is_semilattice_smaller_source_first():
+    assert classify_pair(ORDER, 0, 1) == PairLabel(SEMILATTICE, (0, 1))
+    # the reverse orientation exists too; the label keeps the first found
+    net = Network(2, 2, ORDER.relations)
+    assert search_operation(net, {(1, 0): 0, (0, 1): 0}) is not None
 
 
 def test_neq_is_majority():
@@ -251,6 +255,153 @@ def test_synthesize_rejects_a_partial_graph():
         synthesize_uniform_ops(ConstraintLanguage(3, ()), graph)
     with pytest.raises(InvalidArgumentError, match="fully labeled"):
         synthesize_uniform_ops(ORDER, EdgeLabeledGraph(2, {(0, 1): PairLabel(NONE)}))
+
+
+def _semilattice_pairs(graph):
+    return sum(graph.kind(a, b) == SEMILATTICE for (a, b) in graph.pairs())
+
+
+def _count_synthesis_searches(monkeypatch):
+    """Make synthesis fail as soon as it makes more searches than its graph
+    has semilattice pairs plus three (one witness per pair, then p, g and
+    h); the returned dict holds the count of the last synthesis."""
+    search, synthesize = classify.search_operation, classify.synthesize_uniform_ops
+    count = {"calls": 0, "limit": None}
+
+    def counting_search(network, pinned):
+        if count["limit"] is not None:
+            count["calls"] += 1
+            if count["calls"] > count["limit"]:
+                raise AssertionError(f"synthesis made over {count['limit']} searches")
+        return search(network, pinned)
+
+    def counted_synthesis(lang, graph, networks=None):
+        count.update(calls=0, limit=_semilattice_pairs(graph) + 3)
+        try:
+            return synthesize(lang, graph, networks)
+        finally:
+            count["limit"] = None
+
+    monkeypatch.setattr(classify, "search_operation", counting_search)
+    monkeypatch.setattr(classify, "synthesize_uniform_ops", counted_synthesis)
+    return count
+
+
+def _check_tractable_verdict(lang, verdict):
+    assert verdict.tractable
+    assert check_uniformity_laws(verdict.algebra, verdict.graph) == []
+    assert all(preservation_witness(tab, lang.relations) is None
+               for tab in verdict.algebra.all_ops().values())
+
+
+def test_synthesis_searches_once_per_semilattice_pair(monkeypatch):
+    """All 28 pairs of this language are semilattice, and many orientation
+    choices fail before one realizes them all; composing one witness per
+    pair needs no choice."""
+    lang = ConstraintLanguage(8, (
+        relation([(0, 0), (0, 7), (5, 0)]),
+        relation([(1, 0, 3), (1, 2, 3), (2, 2, 3), (6, 2, 3)]),
+        relation([(2, 0, 5), (4, 0, 5), (4, 7, 5), (7, 0, 5)])))
+    count = _count_synthesis_searches(monkeypatch)
+    start = time.perf_counter()
+    verdict = classify_language(lang)
+    assert time.perf_counter() - start < 1
+    assert _semilattice_pairs(verdict.graph) == 28
+    assert count["calls"] <= 28 + 3
+    _check_tractable_verdict(lang, verdict)
+
+
+def test_synthesis_composes_any_witness(monkeypatch):
+    """Over the empty language every conservative table is a polymorphism,
+    so the witness joining {0, 1} may be either projection on each other
+    pair; f still comes out as the first projection on all of them.  A
+    witness that joins a pair labeled majority fails synthesis."""
+    graph = EdgeLabeledGraph(4, {
+        (a, b): semilattice_label([(0, 1)]) if (a, b) == (0, 1)
+        else PairLabel(MAJORITY) for a, b in itertools.combinations(range(4), 2)})
+    lang = ConstraintLanguage(4, ())
+    others = graph.pairs()[1:]
+    search = classify.search_operation
+    for sides in itertools.product((0, 1, "join"), repeat=len(others)):
+        witness = {(x, x): x for x in range(4)}
+        witness[(0, 1)] = witness[(1, 0)] = 1
+        for (a, b), side in zip(others, sides):
+            if side == "join":
+                witness[(a, b)] = witness[(b, a)] = b
+            else:  # the first projection at 0, the second at 1
+                witness[(a, b)], witness[(b, a)] = (a, b)[side], (b, a)[side]
+        monkeypatch.setattr(
+            classify, "search_operation",
+            lambda net, pinned, w=witness: w if pinned == {(0, 1): 1, (1, 0): 1}
+            else search(net, pinned))
+        if "join" in sides:
+            with pytest.raises(SynthesisFailureError, match="majority pair"):
+                synthesize_uniform_ops(lang, graph)
+            continue
+        alg = synthesize_uniform_ops(lang, graph)
+        assert check_uniformity_laws(alg, graph) == [], sides
+
+
+def _composed(f, p0, g0, h0, n):
+    """p, g and h from the synthesis docstring: tables following the pair
+    rules for f, made from any tables p0, g0, h0 that follow them for some
+    f0 joining the same pairs."""
+    p = tuple(tuple(f[p0[x][y]][f[x][y]] for y in range(n)) for x in range(n))
+    g, h = (tuple(tuple(tuple(f[t[x][y][z]][f[f[x][y]][z]] for z in range(n))
+                        for y in range(n)) for x in range(n))
+            for t in (g0, h0))
+    return p, g, h
+
+
+def _keeping_relations(alg, graph):
+    """Relations closed under alg that keep its majority and affine labels:
+    disequality on each majority pair rules out a semilattice there, and
+    even parity on each affine pair rules out a semilattice and majority."""
+    out = []
+    for (a, b) in graph.pairs():
+        if graph.kind(a, b) == MAJORITY:
+            out.append(close_under_ops({(a, b), (b, a)}, alg))
+        elif graph.kind(a, b) == AFFINE:
+            out.append(close_under_ops(
+                {(a, a, a), (a, b, b), (b, a, b), (b, b, a)}, alg))
+    return tuple(out)
+
+
+def test_fuzzed_languages_synthesize_within_one_search_per_pair(monkeypatch):
+    """Languages on 6-8 elements closed under generated algebras: each
+    classifies tractable in under a second, with one search per semilattice
+    pair and one each for p, g and h.  Random closed relations seldom rule
+    out a semilattice, so every fourth language also keeps the generating
+    labels; there the docstring's formulas turn the generating tables into
+    p, g and h for the composed f."""
+    rng = Rng(81)
+    count = _count_synthesis_searches(monkeypatch)
+    same_kinds = 0
+    for i in range(104):
+        size = 6 + i % 3
+        alg, graph = gen_algebra(GeneratorConfig(seed=8100 + i, domain_size=size))
+        r = rng.split("fuzz", i)
+        rels = tuple(
+            gen_closed_relation(
+                alg, [frozenset(r.sample(range(size), r.randint(2, 3)))
+                      for _ in range(arity)], r, seeds=r.randint(2, 3))
+            for arity in (2, 3, 3))
+        if i % 4 == 1:
+            rels += _keeping_relations(alg, graph)
+        lang = ConstraintLanguage(size, rels)
+        start = time.perf_counter()
+        verdict = classify_language(lang)
+        assert time.perf_counter() - start < 1, i
+        _check_tractable_verdict(lang, verdict)
+        assert count["calls"] <= _semilattice_pairs(verdict.graph) + 3
+        if all(verdict.graph.kind(a, b) == graph.kind(a, b)
+               for (a, b) in graph.pairs()):
+            same_kinds += 1
+            f = verdict.algebra.f
+            p, g, h = _composed(f, alg.p, alg.g, alg.h, size)
+            assert check_uniformity_laws(Algebra(size, f, p, g, h),
+                                         verdict.graph) == [], i
+    assert same_kinds >= 26, same_kinds
 
 
 def test_check_uniformity_clean_on_synthesized_and_canonical():

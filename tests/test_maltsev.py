@@ -6,7 +6,8 @@ import pytest
 from ccsp import maltsev, solver
 from ccsp.classify import AFFINE, MAJORITY, EdgeLabeledGraph, PairLabel
 from ccsp.harness import Rng, brute_force_solve, canonical_algebra
-from ccsp.maltsev import Representation, extend, restrict, solve_with_maltsev
+from ccsp.maltsev import (Representation, _fibers, extend, restrict,
+                          solve_with_maltsev)
 from ccsp.model import Instance, relation
 from ccsp.solver import solve
 
@@ -72,7 +73,8 @@ def product_representation(domains, m):
     product of the domains."""
     rep = Representation(n=0)
     rep.add(())
-    return extend(rep, range(len(domains)), itertools.product(*domains), m)
+    return extend(rep, [], _fibers(range(len(domains)),
+                                   itertools.product(*domains), 0), m)
 
 
 def random_maltsev_table(size, rng):
@@ -140,8 +142,8 @@ def test_append_coordinates_generates_the_product(seed):
     rep = random_representation(R, n, rng)
     extra = [sorted(rng.sample(range(size), rng.randint(1, size)))
              for _ in range(rng.randint(0, 2))]
-    out = extend(rep, range(n, n + len(extra)), itertools.product(*extra),
-                 m)
+    out = extend(rep, [], _fibers(range(n, n + len(extra)),
+                                  itertools.product(*extra), n), m)
     product = {t + u for t in R for u in itertools.product(*extra)}
     assert out.n == n + len(extra)
     assert signature_of(out.rows) == signature_of(product)
@@ -196,7 +198,7 @@ def test_extend_matches_bruteforce(seed, covers):
         if rep.empty:
             assert not inside
             return
-    out = extend(rep, scope, C, m)
+    out = extend(rep, O, _fibers(scope, C, n), m)
 
     join = {t + f for t in inside
             for f in itertools.product(range(size), repeat=len(new))
@@ -224,7 +226,7 @@ def test_extend_gives_each_fiber_its_own_witnesses():
         rep.add(t)
     join = {(a, b, f) for a, b in itertools.product((0, 1), repeat=2)
             for a2, f in C if a2 == a}
-    out = extend(rep, [0, 2], C, m)
+    out = extend(rep, [0], _fibers([0, 2], C, 2), m)
     assert set(out.rows) <= join
     assert signature_of(out.rows) == signature_of(join)
     for t in itertools.product(range(3), repeat=3):
