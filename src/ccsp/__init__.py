@@ -14,9 +14,9 @@ from .classify import (AFFINE, MAJORITY, NONE, SEMILATTICE,
                        semilattice_label, synthesize_uniform_ops)
 from .errors import (CcspError, InternalInvariantError, InvalidArgumentError,
                      OracleBudgetError, SynthesisFailureError)
-from .harness import (GeneratorConfig, Rng, brute_force_solve,
-                      brute_force_solutions, canonical_a3, canonical_algebra,
-                      gen_algebra, gen_instance, gen_planted_instance)
+from .harness import (GeneratorConfig, Rng, brute_force_solve, canonical_a3,
+                      canonical_algebra, gen_algebra, gen_instance,
+                      gen_planted_instance)
 from .laws import LAWS, LawResult, check_law, run_law_suite
 from .minimality import Propagator, establish_3_minimality, is_3_minimal
 from .model import (UNSAT, Algebra, Constraint, Instance, Relation,
@@ -29,8 +29,8 @@ from .reductions import (RetractionOutcome, arc_free_elements,
                          idempotent_power, maps_from_solution,
                          multiplied_instance, retract_instance,
                          retraction_step, split_by_strands)
-from .solver import (PipelineResult, SolveTrace, classify_and_solve, lev,
-                     run_pipeline, solve, solve_semilattice_free)
+from .solver import (PipelineResult, SolveTrace, lev, run_pipeline, solve,
+                     solve_semilattice_free)
 from .structure import (as_components, is_linked, is_semilattice_free,
                         strands_of_instance, strands_of_relation,
                         tuple_edge_kind)

@@ -116,22 +116,6 @@ class Representation:
             self.rows.append(row)
         return idx
 
-    def add(self, row: Row) -> bool:
-        """Insert a row, cataloguing its first difference with every row."""
-        if row in self._index:
-            return False
-        idx = len(self.rows)
-        for j, other in enumerate(self.rows):
-            q = next((q for q, (a, b) in enumerate(zip(other, row))
-                      if a != b), None)
-            if q is not None:
-                self.catalog.setdefault((q, other[q], row[q]), (j, idx))
-                self.catalog.setdefault((q, row[q], other[q]), (idx, j))
-        self._insert(row)
-        for values, a in zip(self.values, row):
-            values.add(a)
-        return True
-
     def add_block(self, q: int, rows: Sequence[Row]):
         """Insert rows that agree before q and differ at q, cataloguing
         every pair of them as witnesses at q."""
@@ -372,7 +356,7 @@ def solve_with_maltsev(domains: Sequence[Sequence[int]],
         for c in set(scope):
             reaching.setdefault(c, []).append(j)
     rep = Representation(n=0)
-    rep.add(())
+    rep._insert(())
     pending = list(range(len(constraints)))
     while pending:
         j = min(pending, key=fresh.__getitem__)

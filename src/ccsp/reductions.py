@@ -10,12 +10,15 @@
 2. Retraction via the multiplied instance: build an instance over variables
    (v, b) whose solutions induce consistent self-maps of the domains;
    iterate a non-permutational family to idempotency and retract the
-   instance onto the images, strictly shrinking it.
+   instance onto the images, strictly shrinking it.  For consistent,
+   idempotent maps the image of a relation is exactly its tuples inside
+   the images, so the retraction is the restriction to the images.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -222,42 +225,50 @@ def is_permutational(maps: dict) -> bool:
     return all(len(set(p.values())) == len(p) for p in maps.values())
 
 
+def _orbit(p: dict, b) -> tuple[list, int]:
+    """b, p(b), p(p(b)), ... up to the first repeat, and the length of the
+    tail before the cycle."""
+    seq = [b]
+    while p[seq[-1]] not in seq:
+        seq.append(p[seq[-1]])
+    return seq, seq.index(p[seq[-1]])
+
+
 def idempotent_power(maps: dict) -> dict:
-    """Iterate the family to a common idempotent power.
+    """The family's least power k >= 1 in which every map is idempotent.
 
-    A single squaring pass cannot reach idempotency for maps with cycles of
-    odd length, so powers are walked one composition at a time until every
-    map is idempotent; the exponent is shared across variables, preserving
-    consistency.
+    p^k is idempotent exactly when every p^k(b) lies on a cycle of p whose
+    length divides k, so k is the least multiple of the lcm of all cycle
+    lengths that is at least the longest tail.  The exponent is shared
+    across variables, preserving consistency.
     """
-    def idempotent(p):
-        return all(p[p[b]] == p[b] for b in p)
-
-    cur = {v: dict(p) for v, p in maps.items()}
-    for _ in range(1000):
-        if all(idempotent(p) for p in cur.values()):
-            return cur
-        cur = {v: {b: maps[v][cur[v][b]] for b in cur[v]} for v in cur}
-    raise InternalInvariantError("no idempotent power within bound")
+    orbits = {v: {b: _orbit(p, b) for b in p} for v, p in maps.items()}
+    walks = [w for per_var in orbits.values() for w in per_var.values()]
+    tail = max((t for _, t in walks), default=0)
+    period = math.lcm(*(len(seq) - t for seq, t in walks))
+    k = period * max(1, -(-tail // period))  # ceil(tail / period) periods
+    return {v: {b: seq[t + (k - t) % (len(seq) - t)]
+                for b, (seq, t) in per_var.items()}
+            for v, per_var in orbits.items()}
 
 
 def retract_instance(inst: Instance, maps: dict) -> Instance:
-    """Restrict the instance to the images of idempotent consistent maps."""
+    """Retract the instance onto the images of a non-permutational family
+    of consistent, idempotent maps.
+
+    Consistent maps send each tuple of a constraint into its relation, and
+    an idempotent map fixes every value of its image; so the image of a
+    relation under the maps is exactly its tuples inside the images, and
+    the retraction is the restriction to the images.
+    """
     for v, p in maps.items():
         for b in p:
             if p[p[b]] != p[b]:
                 raise InvalidArgumentError("maps must be idempotent")
     if is_permutational(maps):
         raise InvalidArgumentError("retraction needs a non-permutational family")
-    new_doms = {v: frozenset(maps[v][b] for b in maps[v])
-                for v in inst.variables}
-    cons = []
-    for scope, rel in inst.constraints:
-        tuples = {tuple(maps[scope[i]][t[i]] for i in range(len(t)))
-                  for t in rel.tuples}
-        cons.append(Constraint(scope, relation(
-            tuples, signature=[new_doms[v] for v in scope])))
-    smaller = Instance(inst.variables, new_doms, cons, inst.algebra)
+    smaller = restrict_instance(inst, {v: frozenset(maps[v].values())
+                                       for v in inst.variables})
     if summ(smaller) >= summ(inst):
         raise InternalInvariantError("retraction did not shrink summ")
     return smaller

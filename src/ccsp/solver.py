@@ -38,25 +38,23 @@ cuts to an affine pair still reaches the Maltsev solver.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .classify import (AFFINE, MAJORITY, ClassifierVerdict,
-                       ConstraintLanguage, EdgeLabeledGraph,
-                       check_uniformity_laws, classify_language, derive_m,
+                       EdgeLabeledGraph, check_uniformity_laws, derive_m,
                        gmm_violations)
 from .errors import InternalInvariantError, InvalidArgumentError
 from .harness import brute_force_solve
 from .maltsev import solve_with_maltsev
 from .minimality import Propagator, establish_3_minimality
-from .model import (UNSAT, Algebra, Instance, Relation, SolveResult,
-                    restrict_relation, sat, summ, validate_instance,
-                    verify_assignment)
+from .model import (UNSAT, Algebra, Instance, SolveResult, sat, summ,
+                    validate_instance, verify_assignment)
 from .reductions import (combine_solutions, exclude_components,
                          find_consistent_collection, retract_instance,
                          retraction_step, split_by_strands)
-from .structure import as_components, connected_groups, is_semilattice_free
+from .structure import (as_components, connected_groups, is_semilattice_free,
+                        pair_kinds)
 from .structure import strands_of_instance  # unused; perfbench/tracing.py PATCHES wraps it
 
 
@@ -134,12 +132,6 @@ def _search(engine: Propagator, variables: list,
             ok = engine.assign(v, rest.pop(0))
 
 
-def _kinds(dom: frozenset, graph: EdgeLabeledGraph) -> set:
-    """The kinds of the pairs in a domain; none in a singleton."""
-    return {graph.kind(a, b)
-            for a, b in itertools.combinations(sorted(dom), 2)}
-
-
 def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
                            alg: Algebra,
                            engine: Optional[Propagator]) -> SolveResult:
@@ -164,7 +156,7 @@ def solve_semilattice_free(inst: Instance, graph: EdgeLabeledGraph,
                 raise InternalInvariantError(
                     f"derived operation misbehaves on domain of {v!r}: "
                     f"{bad[0]}")
-            kinds_of[dom] = _kinds(dom, graph)
+            kinds_of[dom] = pair_kinds(dom, graph)
     assignment = {}
     for variables in connected_groups(inst.variables,
                                       [c.scope for c in inst.constraints]):
@@ -212,7 +204,7 @@ def solve(inst: Instance, alg: Algebra, graph: EdgeLabeledGraph
         trace.nodes += 1
         trace.depth = max(trace.depth, depth)
         while True:
-            if all(_kinds(dom, graph) <= {AFFINE}
+            if all(pair_kinds(dom, graph) <= {AFFINE}
                    for dom in set(cur.domains.values())):
                 trace.bump("sfree")
                 return solve_semilattice_free(cur, graph, alg, None)
@@ -286,18 +278,6 @@ class PipelineResult:
     oracle_used: bool = False
 
 
-def _relation_drawn_from(rel: Relation, lang: ConstraintLanguage,
-                         doms: list) -> bool:
-    if rel.arity == 1:
-        return True
-    for cand in lang.relations:
-        if cand.arity != rel.arity:
-            continue
-        if restrict_relation(cand, doms).tuples == rel.tuples:
-            return True
-    return False
-
-
 def run_pipeline(inst: Instance, verdict: Optional[ClassifierVerdict],
                  force_oracle: bool = False) -> PipelineResult:
     """The one path from an instance and its language's verdict to a result.
@@ -324,19 +304,3 @@ def run_pipeline(inst: Instance, verdict: Optional[ClassifierVerdict],
                               witness_pair=witness, oracle_used=True)
     res, trace = solve(attached, alg, verdict.graph)
     return PipelineResult(res.status, res.assignment, trace=trace.as_dict())
-
-
-def classify_and_solve(lang: ConstraintLanguage, inst: Instance,
-                       force_oracle: bool = False) -> PipelineResult:
-    """Check that every constraint is drawn from the language, classify
-    it, and run the pipeline: refuse (NP-complete) or solve.
-
-    With `force_oracle`, an NP-complete language is still solved by the
-    brute-force oracle and the result flagged accordingly.
-    """
-    for scope, rel in inst.constraints:
-        doms = [inst.domains[v] for v in scope]
-        if not _relation_drawn_from(rel, lang, doms):
-            raise InvalidArgumentError(
-                f"constraint over {scope} is not drawn from the language")
-    return run_pipeline(inst, classify_language(lang), force_oracle)

@@ -65,11 +65,15 @@ def as_components(domain: Iterable[int], graph: EdgeLabeledGraph) -> list[frozen
     return _sink_sccs(sa_arcs(dom, graph))
 
 
+def pair_kinds(domain: Iterable[int], graph: EdgeLabeledGraph) -> set:
+    """The kinds of the pairs in a domain; none in a singleton."""
+    return {graph.kind(a, b)
+            for a, b in itertools.combinations(sorted(domain), 2)}
+
+
 def is_semilattice_free(domain: Iterable[int], graph: EdgeLabeledGraph) -> bool:
     """No semilattice pair inside the domain."""
-    dom = sorted(domain)
-    return all(graph.kind(a, b) != SEMILATTICE
-               for a, b in itertools.combinations(dom, 2))
+    return SEMILATTICE not in pair_kinds(domain, graph)
 
 
 def tuple_edge_kind(u: tuple, v: tuple, graph: EdgeLabeledGraph) -> Optional[str]:

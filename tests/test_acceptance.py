@@ -11,14 +11,15 @@ from ccsp.classify import (AFFINE, MAJORITY, NONE, SEMILATTICE,
                            EdgeLabeledGraph, PairLabel, check_uniformity_laws,
                            classify_pair, ConstraintLanguage,
                            semilattice_label)
-from ccsp.harness import (GeneratorConfig, Rng, brute_force_solutions,
-                          brute_force_solve, canonical_a3, canonical_algebra,
-                          gen_algebra, gen_instance, gen_planted_instance)
+from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve,
+                          canonical_a3, canonical_algebra, gen_algebra,
+                          gen_instance, gen_planted_instance)
 from ccsp.laws import run_law_suite
 from ccsp.minimality import establish_3_minimality, is_3_minimal
 from ccsp.model import Algebra, Instance, close_under_ops, relation, \
     verify_assignment
 from ccsp.solver import solve
+from enumeration import brute_force_solutions
 
 
 def report(criterion: int, ok: bool, detail: str):

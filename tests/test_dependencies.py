@@ -1,0 +1,47 @@
+"""src/ccsp imports only itself, the standard library and the dependencies
+pyproject.toml declares, so test-only packages stay out of the program."""
+
+import ast
+import re
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def declared_dependencies() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].replace("-", "_")
+            .lower() for dep in project["dependencies"]}
+
+
+def foreign_imports(source: str, allowed: set[str]) -> list[str]:
+    """The absolute imports in `source` whose top-level package is neither
+    in the standard library nor in `allowed`."""
+    roots = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.append(node.module.split(".")[0])
+    return [r for r in roots
+            if r not in sys.stdlib_module_names and r not in allowed]
+
+
+def test_numpy_is_the_only_declared_dependency():
+    assert declared_dependencies() == {"numpy"}
+
+
+def test_guard_flags_an_undeclared_package():
+    source = "import json\nimport scipy.optimize\nfrom . import model\n" \
+             "def f():\n    from networkx import Graph\n"
+    assert foreign_imports(source, {"numpy"}) == ["scipy", "networkx"]
+
+
+def test_src_imports_only_declared_dependencies():
+    allowed = declared_dependencies()
+    files = sorted((ROOT / "src" / "ccsp").glob("*.py"))
+    assert files
+    for path in files:
+        assert foreign_imports(path.read_text(), allowed) == [], path.name

@@ -14,14 +14,15 @@ from ccsp.classify import (AFFINE, EdgeLabeledGraph, PairLabel,
                            canonical_algebra, check_uniformity_laws)
 from ccsp.cli import main
 from ccsp.errors import OracleBudgetError
-from ccsp.harness import (GeneratorConfig, Rng, brute_force_solutions,
-                          brute_force_solve, canonical_a3, gen_algebra,
-                          gen_instance, gen_planted_instance)
+from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve,
+                          canonical_a3, gen_algebra, gen_instance,
+                          gen_planted_instance)
 from ccsp.jsonio import (algebra_to_obj, instance_from_obj, instance_to_obj,
                          load_algebra, result_to_obj, var_str)
 from ccsp.laws import run_law_suite
 from ccsp.model import Algebra, Instance, relation, validate_instance
 from ccsp.solver import PipelineResult, solve
+from enumeration import brute_force_solutions
 
 
 def test_rng_split_determinism():

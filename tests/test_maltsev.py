@@ -68,11 +68,28 @@ def member(rep, target, m):
     return g == target
 
 
+def add_row(rep, row):
+    """Insert a row into a representation, cataloguing its first difference
+    with every row."""
+    if row in rep._index:
+        return
+    idx = len(rep.rows)
+    for j, other in enumerate(rep.rows):
+        q = next((q for q, (a, b) in enumerate(zip(other, row))
+                  if a != b), None)
+        if q is not None:
+            rep.catalog.setdefault((q, other[q], row[q]), (j, idx))
+            rep.catalog.setdefault((q, row[q], other[q]), (idx, j))
+    rep._insert(row)
+    for values, a in zip(rep.values, row):
+        values.add(a)
+
+
 def product_representation(domains, m):
     """Representation of the full product: the empty row, extended by the
     product of the domains."""
     rep = Representation(n=0)
-    rep.add(())
+    add_row(rep, ())
     return extend(rep, [], _fibers(range(len(domains)),
                                    itertools.product(*domains), 0), m)
 
@@ -112,7 +129,7 @@ def random_representation(rel, n, rng):
             if not any(t[q] == a for t in chosen):
                 chosen.add(rng.choice([t for t in rows if t[q] == a]))
     for t in sorted(chosen):
-        rep.add(t)
+        add_row(rep, t)
     assert signature_of(rep.rows) == sig
     return rep
 
@@ -223,7 +240,7 @@ def test_extend_gives_each_fiber_its_own_witnesses():
     assert m_closure(C, m) == C
     rep = Representation(n=2)
     for t in [(0, 0), (0, 1), (1, 0)]:
-        rep.add(t)
+        add_row(rep, t)
     join = {(a, b, f) for a, b in itertools.product((0, 1), repeat=2)
             for a2, f in C if a2 == a}
     out = extend(rep, [0], _fibers([0, 2], C, 2), m)

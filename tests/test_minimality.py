@@ -3,10 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccsp.harness import (GeneratorConfig, brute_force_solutions,
-                          gen_algebra, gen_instance)
+from ccsp.harness import GeneratorConfig, gen_algebra, gen_instance
 from ccsp.minimality import Propagator, establish_3_minimality, is_3_minimal
 from ccsp.model import Instance, relation, restrict_instance
+from enumeration import brute_force_solutions
 
 
 EQ = relation([(0, 0), (1, 1)])

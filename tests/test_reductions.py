@@ -8,6 +8,7 @@ from ccsp.errors import InternalInvariantError, InvalidArgumentError
 from ccsp.harness import (GeneratorConfig, brute_force_solve, canonical_a3,
                           canonical_algebra, gen_algebra, gen_instance,
                           gen_planted_instance)
+from ccsp import solver
 from ccsp.minimality import establish_3_minimality
 from ccsp.model import (Constraint, Instance, close_under_ops, project,
                         relation, restrict_relation, summ, verify_assignment)
@@ -354,6 +355,22 @@ def test_idempotent_power_odd_cycle():
     assert all(out[out[b]] == out[b] for b in out)
 
 
+def _cycle(n):
+    return {b: (b + 1) % n for b in range(n)}
+
+
+def test_idempotent_power_exponent_past_a_thousand():
+    # cycles of 5, 7, 8 and 9: the least idempotent power is the 2520th
+    maps = {"a": {0: 1, 1: 1}, "b": _cycle(5), "c": _cycle(7),
+            "d": _cycle(8), "e": _cycle(9)}
+    power = {v: dict(p) for v, p in maps.items()}
+    for _ in range(2520 - 1):
+        power = {v: {b: maps[v][q[b]] for b in q} for v, q in power.items()}
+    out = idempotent_power(maps)
+    assert out == power
+    assert all(q[q[b]] == q[b] for q in out.values() for b in q)
+
+
 # -- retraction ---------------------------------------------------------------
 
 def test_retract_constant_maps(a3):
@@ -379,6 +396,52 @@ def test_retract_chain_collapse():
     inst = Instance(["v"], {"v": {0, 1}}, [], alg)
     out = retract_instance(inst, {"v": {0: 1, 1: 1}})
     assert out.domains["v"] == {1}
+
+
+def mapped_retraction(inst, maps):
+    """Reference retraction: every tuple of every constraint mapped through
+    the maps, each domain replaced by its image."""
+    doms = {v: frozenset(maps[v][b] for b in maps[v]) for v in inst.variables}
+    cons = [Constraint(scope, relation(
+        {tuple(maps[v][a] for v, a in zip(scope, t)) for t in rel.tuples},
+        signature=[doms[v] for v in scope]))
+        for scope, rel in inst.constraints]
+    return Instance(inst.variables, doms, cons, inst.algebra)
+
+
+def test_retract_instance_matches_tuple_mapping(monkeypatch):
+    """On the retractions solve makes, restricting to the images equals
+    mapping every tuple, and every retracted relation lies in its
+    original."""
+    calls = []
+
+    def spy(inst, maps):
+        out = retract_instance(inst, maps)
+        calls.append((inst, maps, out))
+        return out
+
+    monkeypatch.setattr(solver, "retract_instance", spy)
+    for weights in [(1, 0, 0), (1, 1, 0), (1, 1, 1)]:
+        for a in range(4):
+            alg, graph = gen_algebra(GeneratorConfig(
+                seed=a, domain_size=4, label_weights=weights))
+            for seed in range(10):
+                cfg = GeneratorConfig(
+                    seed=seed, domain_size=4, variable_count=8,
+                    constraint_count=12, max_arity=3, label_weights=weights)
+                inst = gen_planted_instance(alg, graph, cfg)
+                assert solver.solve(inst, alg, graph)[0].is_sat
+    assert len(calls) >= 30, len(calls)
+    for inst, maps, out in calls:
+        ref = mapped_retraction(inst, maps)
+        assert out.variables == ref.variables
+        assert out.domains == ref.domains
+        assert len(out.constraints) == len(ref.constraints)
+        for got, want, orig in zip(out.constraints, ref.constraints,
+                                   inst.constraints):
+            assert got == want
+            assert got.relation.tuples <= orig.relation.tuples
+        assert out.algebra is inst.algebra
 
 
 # -- the full reduction step --------------------------------------------------

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from ccsp.classify import (AFFINE, MAJORITY, ConstraintLanguage,
-                           EdgeLabeledGraph, PairLabel, semilattice_label)
+                           EdgeLabeledGraph, PairLabel, classify_language,
+                           semilattice_label)
 from ccsp import minimality, solver
 from ccsp.errors import InternalInvariantError, InvalidArgumentError
 from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve, canonical_a3,
@@ -11,7 +12,7 @@ from ccsp.harness import (GeneratorConfig, Rng, brute_force_solve, canonical_a3,
 from ccsp.minimality import establish_3_minimality
 from ccsp.model import Instance, close_under_ops, relation, verify_assignment
 from ccsp.reductions import find_consistent_collection
-from ccsp.solver import (_search, classify_and_solve, lev, solve,
+from ccsp.solver import (_search, lev, run_pipeline, solve,
                          solve_semilattice_free)
 from ccsp.structure import strands_of_instance
 from test_maltsev import (PARITY_ALG, PARITY_GRAPH, gf2_consistent,
@@ -367,47 +368,21 @@ def test_pruned_mixed_domain_reaches_maltsev_not_search(monkeypatch):
     assert pruned.domains["w"] == {0, 1}
 
 
-# -- classify_and_solve ---------------------------------------------------------
+# -- run_pipeline on a classified language -----------------------------------
 
-ONE_IN_3 = ConstraintLanguage(2, (relation([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),))
 XOR3 = ConstraintLanguage(
     2, (relation([t for t in itertools.product((0, 1), repeat=3)
                   if sum(t) % 2 == 0]),))
 
 
-def test_classify_and_solve_refuses_hard_language():
-    rel = relation([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    inst = Instance(["x", "y", "z"], {v: {0, 1} for v in "xyz"},
-                    [(("x", "y", "z"), rel)])
-    out = classify_and_solve(ONE_IN_3, inst)
-    assert out.status == "np-complete"
-    assert out.witness_pair == (0, 1)
-    assert out.assignment is None
-
-
-def test_classify_and_solve_oracle_override():
-    rel = relation([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    inst = Instance(["x", "y", "z"], {v: {0, 1} for v in "xyz"},
-                    [(("x", "y", "z"), rel)])
-    out = classify_and_solve(ONE_IN_3, inst, force_oracle=True)
-    assert out.oracle_used and out.status == "sat"
-
-
-def test_classify_and_solve_affine_language():
+def test_run_pipeline_solves_affine_language():
     rel = relation([t for t in itertools.product((0, 1), repeat=3)
                     if sum(t) % 2 == 0])
     inst = Instance(["x", "y", "z"], {v: {0, 1} for v in "xyz"},
                     [(("x", "y", "z"), rel)])
-    out = classify_and_solve(XOR3, inst)
+    out = run_pipeline(inst, classify_language(XOR3))
     assert out.status == "sat"
     assert out.trace is not None
-
-
-def test_classify_and_solve_rejects_foreign_relation():
-    inst = Instance(["x", "y"], {v: {0, 1} for v in "xy"},
-                    [(("x", "y"), relation([(0, 1)]))])
-    with pytest.raises(InvalidArgumentError):
-        classify_and_solve(XOR3, inst)
 
 
 def _parity_with_top() -> tuple:
