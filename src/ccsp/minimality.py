@@ -37,9 +37,23 @@ materialized pair projects onto exactly the domains of its variables; a
 materialized triple has a materialized pair on each variable, so it lies
 in the domains and its join keeps it.
 
+Every write to a table is one cut (`_cut`) to a subset of it: the table
+shrinks exactly when the subset is smaller, and a default pair's size is
+|D_a|*|D_b|, with no product built.  A constraint revision projects tuples
+that every table on its scope filtered, so each projection lies in its
+table, and in the join of a triple with no table yet, as default pairs are
+products of domains.  The join is the set of triples over D_c whose pairs
+lie in their tables, so a triple revision gets triple & join by keeping
+the tuples whose pairs lie in the materialized pairs and whose values lie
+in the domains that the join reads; the projections of that lie in the
+pairs.  Only a candidate triple's first revision builds the join.  A pair
+revision filters the pair by the domains first.  A triple with no table
+yet takes a constraint's projection unmeasured and queues its readers.
+
 The filters are monotone, so the fixpoint does not depend on the order of
-revision.  Tables are replaced, never mutated, so a trail of replaced
-values can undo a branch (`mark` / `undo`).
+revision, and queueing a revision too many is safe.  Tables are replaced,
+never mutated, so a trail of replaced values can undo a branch (`mark` /
+`undo`).
 
 The engine at its fixpoint is the one carrier of a node's tables:
 `establish_3_minimality` returns it beside the pruned instance, the base
@@ -53,10 +67,14 @@ from collections import deque
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .model import Constraint, Instance, relation
+from .errors import InvalidArgumentError
+from .model import Constraint, Instance, Relation
 
 VarSet = tuple
 _MISSING = object()
+# a triple's pairs, by position, and getters of its values on them
+_PAIR_POS = ((0, 1), (0, 2), (1, 2))
+_GET = {pos: itemgetter(*pos) for pos in ((0,), (1,), (2,), *_PAIR_POS)}
 
 
 class Propagator:
@@ -96,9 +114,7 @@ class Propagator:
         self.queued: set = set()
         self._queue(self.rels)
         self.failed = False
-        self.shrinks = 0
         self.trail: Optional[list] = None
-        self._products: dict = {}  # (domain, domain) -> default pair table
 
     def sort_vars(self, ws: Iterable) -> VarSet:
         return tuple(sorted(set(ws), key=self._order.__getitem__))
@@ -107,14 +123,7 @@ class Propagator:
     def pair_value(self, key: VarSet) -> frozenset:
         if key in self.pairs:
             return self.pairs[key]
-        return self._product(*key)
-
-    def _product(self, a, b) -> frozenset:
-        doms = (self.doms[a], self.doms[b])
-        value = self._products.get(doms)
-        if value is None:
-            value = self._products[doms] = frozenset(itertools.product(*doms))
-        return value
+        return frozenset(itertools.product(*map(self.doms.get, key)))
 
     def _join(self, key: VarSet) -> frozenset:
         a, b, c = key
@@ -131,7 +140,7 @@ class Propagator:
             return self.pair_value(key)
         if len(key) == 3:
             return self.triples[key] if key in self.triples else self._join(key)
-        raise ValueError("tables exist only for 1..3 variables")
+        raise InvalidArgumentError("tables exist only for 1..3 variables")
 
     def nontrivial_items(self):
         """Materialized (variable-set, tuple-set) pairs, pairs then triples."""
@@ -149,7 +158,7 @@ class Propagator:
 
     def _schedule(self, key: VarSet, cause=None):
         """Queue the listed readers of the table on `key`, which the
-        revision `cause` (None: an `assign`) shrank."""
+        revision `cause` (None: an `assign`) cut."""
         todo = list(self.readers.get(key, ()))
         if len(key) == 2:
             a, b = key
@@ -166,30 +175,25 @@ class Propagator:
             self.trail.append((table, k, table.get(k, _MISSING)))
         table[k] = value
 
-    def _set(self, key: VarSet, value: frozenset):
-        """Replace the table on `key`, materializing a pair or triple."""
+    def _cut(self, key: VarSet, allowed, cause):
+        """Replace the table on `key` by `allowed`, a subset of it, in the
+        revision `cause` (None: an `assign`), if that shrinks it; then
+        queue the table's readers.  A triple with no table yet takes
+        `allowed` unmeasured, as its join is never built here."""
         table = (self.doms, self.pairs, self.triples)[len(key) - 1]
         k = key[0] if len(key) == 1 else key
-        if k not in table:
+        if k in table:
+            if len(allowed) >= len(table[k]):
+                return
+        else:  # a default pair, or a triple with no table yet
+            if len(key) == 2 and len(allowed) >= (
+                    len(self.doms[key[0]]) * len(self.doms[key[1]])):
+                return
             for v in key:
                 self.keys_on[v][key] = None
-        self._store(table, k, value)
-
-    def _shrink(self, key: VarSet, allowed, cause):
-        """Intersect a table with `allowed` in the revision `cause`; a
-        shrink schedules the table's readers.  Triples are materialized."""
-        if len(key) == 3:
-            old = self.triples[key] if key in self.triples else self._join(key)
-        else:
-            old = self.doms[key[0]] if len(key) == 1 else self.pair_value(key)
-        new = old & allowed
-        if len(new) < len(old):
-            self._set(key, new)
-            self.shrinks += 1
-            self.failed = self.failed or not new
-            self._schedule(key, cause)
-        elif len(key) == 3 and key not in self.triples:
-            self._set(key, new)
+        self._store(table, k, frozenset(allowed))
+        self.failed = self.failed or not allowed
+        self._schedule(key, cause)
 
     # -- revisions ----------------------------------------------------
     def _revise_constraint(self, i: int):
@@ -202,30 +206,46 @@ class Propagator:
                 kept = [t for t in kept if get(t) in table]
         if len(kept) < len(tuples):
             self._store(self.rels, i, frozenset(kept))
-            self.shrinks += 1
             self.failed = not kept
         elif i not in self.fresh:
             return
         for key, get in subs:
             if self.failed:
                 return
-            self._shrink(key, set(map(get, kept)), i)
+            self._cut(key, set(map(get, kept)), i)
         self.fresh.discard(i)
 
     def _revise_pair(self, key: VarSet):
         a, b = key
-        self._shrink(key, self._product(a, b), key)
-        self._shrink((a,), {t[0] for t in self.pairs[key]}, key)
-        self._shrink((b,), {t[1] for t in self.pairs[key]}, key)
+        da, db = self.doms[a], self.doms[b]
+        self._cut(key, [t for t in self.pairs[key]
+                        if t[0] in da and t[1] in db], key)
+        self._cut((a,), {t[0] for t in self.pairs[key]}, key)
+        self._cut((b,), {t[1] for t in self.pairs[key]}, key)
 
     def _revise_triple(self, key: VarSet):
-        a, b, c = key
-        self._shrink(key, self._join(key), key)
+        kept = self.triples.get(key)
+        if kept is None:  # a candidate triple's first revision
+            kept = self._join(key)
+        else:  # triple & join, checked against what the join reads
+            checks = {}
+            for pos in _PAIR_POS:
+                pair = self.pairs.get(tuple(key[p] for p in pos))
+                if pair is None:
+                    checks.update({(p,): self.doms[key[p]] for p in pos})
+                else:
+                    checks[pos] = pair
+            checks[(2,)] = self.doms[key[2]]
+            for pos, table in checks.items():
+                get = _GET[pos]
+                kept = [t for t in kept if get(t) in table]
+        self._cut(key, kept, key)
+        if self.failed:
+            return
         val = self.triples[key]
-        self.failed = self.failed or not val
-        for (i, j), pkey in (((0, 1), (a, b)), ((0, 2), (a, c)),
-                             ((1, 2), (b, c))):
-            self._shrink(pkey, {(t[i], t[j]) for t in val}, key)
+        for pos in _PAIR_POS:
+            self._cut(tuple(key[p] for p in pos), set(map(_GET[pos], val)),
+                      key)
 
     def run(self) -> bool:
         """Propagate to the global fixpoint; False means inconsistent."""
@@ -245,7 +265,7 @@ class Propagator:
         """Restrict a variable to one value and re-propagate."""
         if a not in self.doms[v]:
             return False
-        self._shrink((v,), {a}, None)
+        self._cut((v,), {a}, None)
         return self.run()
 
     def mark(self) -> int:
@@ -277,7 +297,7 @@ class Propagator:
                 cons.append(old)  # nothing shrank: no tuple to check again
             else:
                 cons.append(Constraint(old.scope,
-                                       relation(tuples, signature=sig)))
+                                       Relation(len(sig), tuples, sig)))
         return Instance(self.variables, self.doms, cons, self.inst.algebra)
 
 
@@ -297,17 +317,17 @@ def establish_3_minimality(inst: Instance
 
 def is_3_minimal(engine: Propagator) -> bool:
     """True iff one more revision of every constraint (projecting its
-    tuples again) and of every materialized table changes nothing; the
+    tuples again) and of every materialized table writes nothing; the
     engine is left as it was, pending revisions included.  Candidate
-    triples are materialized by then: the shrink that materialized a
+    triples are materialized by then: the cut that materialized a
     triple's second pair queued the triple's revision."""
-    mark, shrinks = engine.mark(), engine.shrinks
+    mark = engine.mark()
     pending = list(engine.queue)
     fresh = set(engine.fresh)
     engine.fresh.update(engine.rels)
     for revisions in (engine.rels, engine.pairs, engine.triples):
         engine._queue(revisions)
-    quiet = engine.run() and engine.shrinks == shrinks
+    quiet = engine.run() and len(engine.trail) == mark
     engine.undo(mark)
     engine._queue(pending)
     engine.fresh = fresh

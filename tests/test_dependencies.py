@@ -29,6 +29,14 @@ def foreign_imports(source: str, allowed: set[str]) -> list[str]:
             if r not in sys.stdlib_module_names and r not in allowed]
 
 
+def test_declared_python_floor_has_tomllib():
+    # this module reads pyproject.toml with tomllib, new in Python 3.11
+    floor = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+        "project"]["requires-python"]
+    minor = re.fullmatch(r">=\s*3\.(\d+)", floor)
+    assert minor and int(minor[1]) >= 11, floor
+
+
 def test_numpy_is_the_only_declared_dependency():
     assert declared_dependencies() == {"numpy"}
 

@@ -1,11 +1,16 @@
+import contextlib
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccsp.harness import GeneratorConfig, gen_algebra, gen_instance
+from ccsp.errors import InvalidArgumentError
+from ccsp.harness import (GeneratorConfig, gen_algebra, gen_instance,
+                          gen_planted_instance)
 from ccsp.minimality import Propagator, establish_3_minimality, is_3_minimal
 from ccsp.model import Instance, relation, restrict_instance
+from ccsp.solver import solve
 from enumeration import brute_force_solutions
 
 
@@ -25,6 +30,16 @@ def test_no_constraints_tables_are_full():
     assert list(engine.nontrivial_items()) == []
     assert engine.table(("a", "b", "c")) == frozenset(
         itertools.product((0, 1), repeat=3))
+
+
+def test_table_rejects_more_than_three_variables():
+    _pruned, engine = establish_3_minimality(
+        Instance(["a", "b", "c", "d"], {v: {0, 1} for v in "abcd"}, []))
+    for ws in ("abcd", ""):
+        with pytest.raises(InvalidArgumentError):
+            engine.table(ws)
+    with pytest.raises(ValueError):  # what callers caught before
+        engine.table("abcd")
 
 
 def test_equality_triangle_table():
@@ -276,15 +291,16 @@ def assert_matches_reference(engine, inst):
     assert is_3_minimal(engine) and not engine.queue
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
-@given(st.one_of(small_instances(), triangle_instances()), st.data())
-def test_engine_matches_reference_through_assign_and_undo(inst, data):
+def walk_assign_and_undo(inst, data, check):
+    """Establish `inst`, then assign and undo at random from the fixpoints
+    reached; check(engine, instance) sees every fixpoint reached, and
+    check(None, instance) every instance whose fixpoint fails."""
     out = establish_3_minimality(inst)
     if out is None:
-        assert reference_fixpoint(inst) is None
+        check(None, inst)
         return
     _pruned, engine = out
-    assert_matches_reference(engine, inst)
+    check(engine, inst)
     stack = [(engine.mark(), inst.domains)]  # fixpoints to undo back to
     for _ in range(data.draw(st.integers(0, 8), label="steps")):
         open_vars = [v for v in inst.variables if len(engine.doms[v]) > 1]
@@ -295,15 +311,82 @@ def test_engine_matches_reference_through_assign_and_undo(inst, data):
             fixed = restrict_instance(inst, doms)
             mark = engine.mark()
             if engine.assign(v, a):
-                assert_matches_reference(engine, fixed)
+                check(engine, fixed)
                 stack.append((mark, doms))
             else:
-                assert reference_fixpoint(fixed) is None
+                check(None, fixed)
                 engine.undo(mark)
         elif len(stack) > 1:
             engine.undo(stack.pop()[0])
-            assert_matches_reference(engine, restrict_instance(
-                inst, stack[-1][1]))
+            check(engine, restrict_instance(inst, stack[-1][1]))
+
+
+def check_against_reference(engine, inst):
+    if engine is None:
+        assert reference_fixpoint(inst) is None
+    else:
+        assert_matches_reference(engine, inst)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.one_of(small_instances(), triangle_instances()), st.data())
+def test_engine_matches_reference_through_assign_and_undo(inst, data):
+    walk_assign_and_undo(inst, data, check_against_reference)
+
+
+@contextlib.contextmanager
+def cuts_checked():
+    """Assert on every `Propagator._cut` that `allowed` lies inside the
+    table it cuts, read before the cut (a triple with no table yet is its
+    join); yields the set of (key size, cause type) of the cuts checked."""
+    cut, seen = Propagator._cut, set()
+
+    def checked(self, key, allowed, cause):
+        table = self.doms[key[0]] if len(key) == 1 else self.table(key)
+        assert set(allowed) <= table, (key, cause)
+        seen.add((len(key), type(cause).__name__))
+        cut(self, key, allowed, cause)
+
+    with mock.patch.object(Propagator, "_cut", checked):
+        yield seen
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.one_of(small_instances(), triangle_instances()), st.data())
+def test_cuts_lie_inside_their_tables_through_assign_and_undo(inst, data):
+    def recheck(engine, _inst):
+        # pair revisions run only in is_3_minimal; with a domain cut still
+        # pending there, they also meet pairs reaching out of the domains
+        if engine is None:
+            return
+        assert is_3_minimal(engine)
+        for v in engine.variables:
+            if len(engine.doms[v]) > 1:
+                mark = engine.mark()
+                engine._cut((v,), {min(engine.doms[v])}, None)
+                is_3_minimal(engine)
+                engine.undo(mark)
+                return
+
+    with cuts_checked():
+        walk_assign_and_undo(inst, data, recheck)
+
+
+def test_cuts_lie_inside_their_tables_in_planted_solves():
+    with cuts_checked() as seen:
+        for seed in range(24):
+            weights = [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1)][seed % 4]
+            cfg = GeneratorConfig(seed=seed, domain_size=4,
+                                  variable_count=8 + seed % 5,
+                                  constraint_count=12, max_arity=3,
+                                  label_weights=weights)
+            alg, graph = gen_algebra(cfg)
+            inst = gen_planted_instance(alg, graph, cfg)
+            assert solve(inst, alg, graph)[0].is_sat, seed
+    # constraint revisions cut all sizes, triple revisions pairs and
+    # triples, and assign a domain
+    assert {(1, "int"), (2, "int"), (3, "int"), (1, "NoneType"),
+            (2, "tuple"), (3, "tuple")} <= seen, seen
 
 
 def test_run_at_fixpoint_revises_nothing(monkeypatch):
