@@ -7,24 +7,27 @@ of R, the componentwise image is again in R.  Each non-constant row
 combination yields one constraint linking the table cells found in its
 columns.
 
-`Network` compiles these constraints once per (relations, arity): constant
-cells are substituted, repeated cells merged, one-cell constraints folded
-into the cell domains, and each constraint keeps, per position and value,
-the bitmask of its rows holding that value there.  A search pins some cells
-and assigns the rest in a fixed most-constrained-first order, maintaining
-arc consistency (MAC): the rows of a constraint still live are the AND over
-its positions of the rows whose value lies in the cell's domain, and each
-domain is cut to the values of the live rows.  Pruning only removes dead
-subtrees, so the table found is the first one in the static cell and value
-order.
+`Network` compiles these constraints once per (relations, arity).  The
+cells of every row combination are built column by column: per position
+of R, one product of that position's values gives the cells there, with
+their constant values.  Constant cells are substituted, repeated cells
+merged, one-cell constraints folded into the cell domains, and the
+constraints reduced alike share one cut map: the domains of their cells
+-> per cell, the values of the rows lying in those domains, filled on
+first use.  A search pins some cells and assigns the rest in a fixed
+most-constrained-first order, maintaining arc consistency (MAC): each
+constraint revised cuts its cells' domains to its cut of them, and fails
+when no row is left.  Pruning only removes dead subtrees, so the table
+found is the first one in the static cell and value order.  A network
+searches each pin set once and answers a repeat from its memo.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from operator import itemgetter
-from typing import Optional, Sequence
+from collections import Counter, deque
+from operator import itemgetter, or_
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidArgumentError
 from .model import Relation
@@ -41,36 +44,26 @@ def _cell_order_key(cell: Cell) -> tuple:
     return (len(set(cell)), cell)
 
 
-class _RowsIn(dict):
-    """Bitmask of values -> bitmask of the rows whose value at one position
-    lies in it, filled on first use."""
+class _Cuts(dict):
+    """Domains of a constraint's cells, as a tuple of bitmasks -> per cell,
+    the bitmask of the values of the rows lying in those domains, or None
+    when no row does; filled on first use.  Each row holds, per cell, the
+    one-bit mask of its value."""
 
-    def __init__(self, column: tuple[int, ...]):
-        super().__init__()
-        self.column = column
-
-    def __missing__(self, values: int) -> int:
-        rows = self[values] = sum(1 << r for r, v in enumerate(self.column)
-                                  if values >> v & 1)
-        return rows
-
-
-class _Images(dict):
-    """Bitmask of rows -> per position, the bitmask of their values there,
-    filled on first use."""
-
-    def __init__(self, rows: list[tuple[int, ...]]):
+    def __init__(self, rows: set[tuple[int, ...]]):
         super().__init__()
         self.rows = rows
 
-    def __missing__(self, live: int) -> tuple[int, ...]:
-        images = [0] * len(self.rows[0])
-        for r, t in enumerate(self.rows):
-            if live >> r & 1:
-                for i, v in enumerate(t):
-                    images[i] |= 1 << v
-        images = self[live] = tuple(images)
-        return images
+    def __missing__(self, doms: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        cut = None
+        for bits in self.rows:
+            for d, b in zip(doms, bits):
+                if not d & b:
+                    break
+            else:
+                cut = bits if cut is None else tuple(map(or_, cut, bits))
+        self[doms] = cut
+        return cut
 
 
 def _reduce(rows, consts, repeats):
@@ -80,8 +73,8 @@ def _reduce(rows, consts, repeats):
 
     None if no row fits.  Else (number of cells left, getter of those cells
     from the combination's cells, allowed): allowed is the bitmask of the
-    values left when one cell is left, otherwise the lookups of the rows
-    over the cells left: one `_RowsIn` per position and their `_Images`.
+    values left when one cell is left, otherwise the `_Cuts` of the rows
+    over the cells left.
     """
     slots = [p for p, q in enumerate(repeats) if p == q and consts[p] is None]
     checks = list(enumerate(zip(repeats, consts)))
@@ -92,8 +85,7 @@ def _reduce(rows, consts, repeats):
     if len(slots) == 1:
         allowed = sum({1 << t[slots[0]] for t in fits})
     else:
-        kept = sorted({tuple(t[p] for p in slots) for t in fits})
-        allowed = (tuple(map(_RowsIn, zip(*kept))), _Images(kept))
+        allowed = _Cuts({tuple(1 << t[p] for p in slots) for t in fits})
     return len(slots), itemgetter(*slots), allowed
 
 
@@ -102,7 +94,8 @@ class Network:
 
     Built once and searched under any number of `pinned` cell sets; it
     keeps the arc-consistent domains without pins, found by its first
-    search, so it must not outlive the relations it was compiled from.
+    search, and the table found for each pin set, so it must not outlive
+    the relations it was compiled from.
     """
 
     def __init__(self, size: int, arity: int, relations: Sequence[Relation]):
@@ -112,26 +105,29 @@ class Network:
         constant = {c: c[0] for c in self.grid if len(set(c)) == 1}
         self.feasible = True
         unary = []  # (cell, bitmask of its values allowed)
-        scopes = []  # (cells, lookups of the rows allowed over them)
+        scopes = []  # (cells, cuts of the rows allowed over them)
         for rel in {id(rel): rel for rel in relations if rel.tuples}.values():
             rows = rel.sorted_tuples()
             reduced: dict = {}  # by constants and repeats of the cells
-            for combo in itertools.product(rows, repeat=arity):
-                if combo.count(combo[0]) == arity:
+            # Per position, the cells of every row combination in turn.
+            columns = [list(itertools.product(column, repeat=arity))
+                       for column in zip(*rows)]
+            for cells, consts in zip(zip(*columns), zip(*(
+                    map(constant.get, column) for column in columns))):
+                if None not in consts:  # one row repeated
                     continue
-                cells = tuple(zip(*combo))
-                key = (tuple(map(constant.get, cells)),
-                       tuple(map(cells.index, cells)))
+                key = (consts, tuple(map(cells.index, cells)))
                 if key not in reduced:
                     reduced[key] = _reduce(rows, *key)
-                if reduced[key] is None:
+                found = reduced[key]
+                if found is None:
                     self.feasible = False
                     continue
-                left, pick, allowed = reduced[key]
+                left, pick, allowed = found
                 (unary if left == 1 else scopes).append((pick(cells), allowed))
         degree = Counter(cell for cell, _mask in unary)
         degree.update(itertools.chain.from_iterable(
-            cells for cells, _lookups in scopes))
+            cells for cells, _cuts in scopes))
 
         # Searched cells in the static order, most constrained first, then
         # the constant cells.
@@ -145,36 +141,39 @@ class Network:
         self.start = [opts[0] for opts in self.options]
         for cell, mask in unary:
             self.domains[index[cell]] &= mask
-        # (scope in search order, rows by position, images), and per cell
-        # the constraints on it; constraints reduced alike share lookups
-        self.constraints = [(tuple(map(index.__getitem__, cells)), *lookups)
-                            for cells, lookups in scopes]
+        # (scope in search order, cuts), and per cell the constraints on
+        # it; constraints reduced alike share their cuts
+        self.constraints = [(tuple(map(index.__getitem__, cells)), cuts)
+                            for cells, cuts in scopes]
         self.on_cell: list[list[int]] = [[] for _ in order]
-        for k, (scope, _rows_in, _images) in enumerate(self.constraints):
+        for k, (scope, _cuts) in enumerate(self.constraints):
             for c in scope:
                 self.on_cell[c].append(k)
         self._root: Optional[list[int]] = None  # arc consistent, unpinned
+        self._found: dict = {}  # pinned items -> the table found, or None
 
-    def _propagate(self, dom: list[int], queue: list[int],
+    def _propagate(self, dom: list[int], start: Iterable[int],
                    trail: list) -> bool:
-        """Arc consistency from the constraints in `queue`: every value
+        """Arc consistency from the constraints in `start`: every value
         left in a domain lies in a row of each constraint on its cell whose
         values all lie in the domains.  False when a domain empties."""
         on_cell, constraints = self.on_cell, self.constraints
+        queue = deque(start)
         waiting = set(queue)
         while queue:
-            k = queue.pop(0)
+            k = queue.popleft()
             waiting.discard(k)
-            scope, rows_in, images = constraints[k]
-            live = -1  # the rows whose values all lie in the domains
-            for c, rows in zip(scope, rows_in):
-                live &= rows[dom[c]]
-            if not live:
+            scope, cuts = constraints[k]
+            doms = tuple([dom[c] for c in scope])
+            cut = cuts[doms]
+            if cut is None:
                 return False
-            for c, image in zip(scope, images[live]):
-                if image != dom[c]:
-                    trail.append((c, dom[c]))
-                    dom[c] = image
+            if cut == doms:
+                continue
+            for c, new, old in zip(scope, cut, doms):
+                if new != old:
+                    trail.append((c, old))
+                    dom[c] = new
                     fresh = [j for j in on_cell[c]
                              if j != k and j not in waiting]
                     waiting.update(fresh)
@@ -206,7 +205,7 @@ class Network:
             if mask != 1 << v:  # a domain of one value is propagated already
                 trail.append((cell, mask))
                 dom[cell] = 1 << v
-                if not self._propagate(dom, list(self.on_cell[cell]), trail):
+                if not self._propagate(dom, self.on_cell[cell], trail):
                     continue
             cell += 1
             tried[cell] = 0
@@ -215,7 +214,15 @@ class Network:
 
     def search(self, pinned: dict[Cell, int]) -> Optional[dict[Cell, int]]:
         """The first conservative table preserving the relations, or None.
-        Every pinned cell must be a cell of the table."""
+        Every pinned cell must be a cell of the table.  Each pin set is
+        searched once; every call gets its own copy of the table."""
+        key = frozenset(pinned.items())
+        if key not in self._found:
+            self._found[key] = self._search(pinned)
+        table = self._found[key]
+        return None if table is None else dict(table)
+
+    def _search(self, pinned: dict[Cell, int]) -> Optional[dict[Cell, int]]:
         cut = {}  # pinned cell -> its one value as a bitmask
         for cell, want in pinned.items():
             c = self.index.get(cell)
@@ -230,7 +237,7 @@ class Network:
         if self._root is None:
             dom = list(self.domains)
             if not (self.feasible and all(dom) and self._propagate(
-                    dom, list(range(len(self.constraints))), [])):
+                    dom, range(len(self.constraints)), [])):
                 dom = []
             self._root = dom
         if not self._root:
@@ -244,7 +251,7 @@ class Network:
                 dom[c] = mask
                 queue.update(dict.fromkeys(self.on_cell[c]))
         val = list(self.start)
-        if not (self._propagate(dom, list(queue), []) and self._dfs(dom, val)):
+        if not (self._propagate(dom, queue, []) and self._dfs(dom, val)):
             return None
         index = self.index
         return {c: val[index[c]] for c in self.grid}

@@ -3,7 +3,87 @@ import itertools
 
 from ccsp.classify import ConstraintLanguage, classify_language
 from ccsp.harness import Rng, canonical_algebra, gen_label_graph
+from ccsp.indicator import Network
 from ccsp.model import close_under_ops, relation
+
+
+# -- the cut maps, against their constraints' rows ---------------------------
+
+def _scoped_rows(size, arity, rels):
+    """Per constraint of more than one cell, in the network's order: its
+    cells and the rows of its relation fitting the constant and repeated
+    cells of its row combination, over those cells."""
+    out = []
+    for rel in {id(r): r for r in rels if r.tuples}.values():
+        rows = sorted(rel.tuples)
+        for combo in itertools.product(rows, repeat=arity):
+            if len(set(combo)) == 1:
+                continue
+            cells = list(zip(*combo))
+            scope = list(dict.fromkeys(c for c in cells if len(set(c)) > 1))
+            fits = [t for t in rows
+                    if all(t[p] == c[0] for p, c in enumerate(cells)
+                           if len(set(c)) == 1)
+                    and all(t[p] == t[cells.index(c)]
+                            for p, c in enumerate(cells))]
+            if fits and len(scope) > 1:
+                out.append((tuple(scope), {tuple(t[cells.index(c)] for c in scope)
+                                           for t in fits}))
+    return out
+
+
+def _direct_cut(rows, doms):
+    """Per position, the union of the values of the rows inside `doms`, as
+    bitmasks, or None when no row is inside."""
+    inside = [t for t in rows if all(d >> v & 1 for d, v in zip(doms, t))]
+    if not inside:
+        return None
+    return tuple(sum({1 << v for v in values}) for values in zip(*inside))
+
+
+def test_every_cut_a_network_fills_is_its_rows_inside_the_domains():
+    rng = Rng(253)
+    checked = 0
+    for i in range(60):
+        r = rng.split("cuts", i)
+        size, arity = 2 + i % 2, 2 + i // 2 % 2
+        rels = []
+        for _ in range(r.randint(1, 3)):
+            pool = list(itertools.product(range(size), repeat=r.randint(2, 3)))
+            rels.append(relation(r.sample(pool, r.randint(2, min(6, len(pool))))))
+        net = Network(size, arity, rels)
+        cells = sorted(net.index, key=net.index.get)
+        for a, b in itertools.permutations(range(size), 2):
+            net.search({(a,) * (arity - 1) + (b,): b})
+        expected = _scoped_rows(size, arity, rels)
+        assert [tuple(cells[c] for c in scope)
+                for scope, _cuts in net.constraints] == \
+            [scope for scope, _rows in expected]
+        seen = set()  # constraints reduced alike share their cut map
+        for (_scope, cuts), (_cells, rows) in zip(net.constraints, expected):
+            if (id(cuts), frozenset(rows)) in seen:
+                continue
+            seen.add((id(cuts), frozenset(rows)))
+            for doms, cut in cuts.items():
+                assert cut == _direct_cut(rows, doms), (rels, doms)
+                checked += 1
+    assert checked >= 200, checked
+
+
+def test_a_repeated_pin_set_gets_an_equal_table_of_its_own():
+    """Semilattices join {0, 1} toward 1 but not toward 0 in this
+    relation."""
+    net = Network(3, 2, [relation([(1, 0), (1, 2), (2, 1), (2, 2)])])
+    pinned = {(0, 1): 1, (1, 0): 1}
+    first = net.search(pinned)
+    second = net.search(dict(reversed(pinned.items())))
+    assert first is not None and second == first and second is not first
+    want = dict(second)
+    first[(0, 2)] = 2 if first[(0, 2)] == 0 else 0
+    first[(0, 1)] = 0
+    assert second == want and net.search(pinned) == want
+    for _ in range(2):
+        assert net.search({(0, 1): 0, (1, 0): 0}) is None
 
 
 # -- verdicts on 3-element languages with ternary relations ------------------
