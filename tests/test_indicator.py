@@ -27,8 +27,9 @@ def _scoped_rows(size, arity, rels):
                     and all(t[p] == t[cells.index(c)]
                             for p, c in enumerate(cells))]
             if fits and len(scope) > 1:
-                out.append((tuple(scope), {tuple(t[cells.index(c)] for c in scope)
-                                           for t in fits}))
+                firsts = [cells.index(c) for c in scope]
+                out.append((tuple(scope),
+                            {tuple(t[p] for p in firsts) for t in fits}))
     return out
 
 
@@ -49,8 +50,10 @@ def test_every_cut_a_network_fills_is_its_rows_inside_the_domains():
         size, arity = 2 + i % 2, 2 + i // 2 % 2
         rels = []
         for _ in range(r.randint(1, 3)):
-            pool = list(itertools.product(range(size), repeat=r.randint(2, 3)))
-            rels.append(relation(r.sample(pool, r.randint(2, min(6, len(pool))))))
+            pool = list(itertools.product(range(size),
+                                          repeat=r.randint(2, 3)))
+            rels.append(relation(
+                r.sample(pool, r.randint(2, min(6, len(pool))))))
         net = Network(size, arity, rels)
         cells = sorted(net.index, key=net.index.get)
         for a, b in itertools.permutations(range(size), 2):

@@ -181,34 +181,6 @@ def mixed_instances(count=100):
         yield seed, gen_instance(alg, graph, cfg)
 
 
-def test_triple_revision_reads_a_pending_domain_cut():
-    """A materialized triple's revision cuts it to its join, the domain of
-    its third variable included, also while a cut of that domain has not
-    yet reached the two materialized pairs on it: they still hold the
-    values cut, so only the domain check removes them."""
-    checked = 0
-    for seed in range(12):
-        cfg = GeneratorConfig(seed=seed, domain_size=3 + seed % 2,
-                              variable_count=6, constraint_count=10,
-                              max_arity=3, label_weights=(1, 1, 1))
-        alg, graph = gen_algebra(cfg)
-        _pruned, engine = establish_3_minimality(
-            gen_planted_instance(alg, graph, cfg))
-        for key, triple in list(engine.triples.items()):
-            a, b, c = key
-            if (a, c) not in engine.pairs or (b, c) not in engine.pairs:
-                continue
-            for z in {t[2] for t in triple} - {max(engine.doms[c])}:
-                mark = engine.mark()
-                engine._cut((c,), engine.doms[c] - {z}, None)
-                assert any(t[1] == z for t in engine.pairs[(a, c)])
-                engine._revise_triple(key)
-                assert engine.triples[key] == triple & engine._join(key), seed
-                engine.undo(mark)
-                checked += 1
-    assert checked >= 20, checked
-
-
 def assert_same_fixpoint(seed, engine, pruned, ref_tables, ref_tuples):
     for key, want in ref_tables.items():
         assert engine.table(key) == want, (seed, key)
@@ -436,3 +408,31 @@ def test_run_at_fixpoint_revises_nothing(monkeypatch):
         assert engine.run() and calls == [] and not engine.queue, seed
         checked += 1
     assert checked >= 10
+
+
+def test_triple_revision_reads_a_pending_domain_cut():
+    """A materialized triple's revision cuts it to its join, the domain of
+    its third variable included, also while a cut of that domain has not
+    yet reached the two materialized pairs on it: they still hold the
+    values cut, so only the domain check removes them."""
+    checked = 0
+    for seed in range(12):
+        cfg = GeneratorConfig(seed=seed, domain_size=3 + seed % 2,
+                              variable_count=6, constraint_count=10,
+                              max_arity=3, label_weights=(1, 1, 1))
+        alg, graph = gen_algebra(cfg)
+        _pruned, engine = establish_3_minimality(
+            gen_planted_instance(alg, graph, cfg))
+        for key, triple in list(engine.triples.items()):
+            a, b, c = key
+            if (a, c) not in engine.pairs or (b, c) not in engine.pairs:
+                continue
+            for z in {t[2] for t in triple} - {max(engine.doms[c])}:
+                mark = engine.mark()
+                engine._cut((c,), engine.doms[c] - {z}, None)
+                assert any(t[1] == z for t in engine.pairs[(a, c)])
+                engine._revise_triple(key)
+                assert engine.triples[key] == triple & engine._join(key), seed
+                engine.undo(mark)
+                checked += 1
+    assert checked >= 20, checked
