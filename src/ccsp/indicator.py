@@ -4,14 +4,31 @@ A candidate k-ary operation is a table assigning to each k-tuple of
 elements one of its own entries (conservativity; idempotency follows on
 constant tuples).  Preserving a relation R means: for every k-tuple of rows
 of R, the componentwise image is again in R.  Each non-constant row
-combination yields one constraint linking the table cells found in its
-columns.
+combination links the table cells found in its columns; it becomes a
+constraint only when it can cut.
 
-`Network` compiles these constraints once per (relations, arity).  The
-cells of every row combination are built column by column: per position
-of R, one product of that position's values gives the cells there, with
-their constant values.  Constant cells are substituted, repeated cells
-merged, one-cell constraints folded into the cell domains, and the
+`Network` compiles these constraints once per (relations, arity), naming
+each cell by its index in the grid of cells.  The cells of every row
+combination are built column by column: per position of R, one product of
+that position's values gives the cells there, with their constant values.
+Constant cells are substituted and repeated cells merged; the rows of R
+fitting those cells, over the cells left, are the combination's
+reduction.  Two kinds of reduction can never cut a domain, and build no
+constraint:
+
+- one cell left.  A combination's own rows fit its reduction: row i
+  holds at position p the i-th entry of that position's cell, so the value
+  of a constant cell, and equal values at repeated cells.  The values left
+  thus include every conservative value of the cell, and its domain holds
+  no other.
+- more cells, whose rows are the product of their projections.  Each
+  cell's conservative values are values of the combination's own rows
+  there, so every combination of them is a row.  Domains hold only
+  conservative values and never empty, so the rows inside any domains
+  give back the domains.
+
+Both kinds still count toward the degree of their cells, so the static
+cell order is the one all non-constant combinations give.  The
 constraints reduced alike share one cut map: the domains of their cells
 -> per cell, the values of the rows lying in those domains, filled on
 first use.  A search pins some cells and assigns the rest in a fixed
@@ -25,6 +42,7 @@ searches each pin set once and answers a repeat from its memo.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence
@@ -38,10 +56,6 @@ Cell = tuple[int, ...]
 def _options(cell: Cell) -> tuple[int, ...]:
     """Conservative values of a cell, first argument first."""
     return tuple(dict.fromkeys(cell))
-
-
-def _cell_order_key(cell: Cell) -> tuple:
-    return (len(set(cell)), cell)
 
 
 class _Cuts(dict):
@@ -67,30 +81,30 @@ class _Cuts(dict):
 
 
 def _reduce(rows, consts, repeats):
-    """A row combination's constraint once its constant cells (consts[p]
-    the value, else None) are substituted and each cell repeated at
-    position p (first seen at repeats[p]) is merged.
-
-    None if no row fits.  Else (number of cells left, getter of those cells
-    from the combination's cells, allowed): allowed is the bitmask of the
-    values left when one cell is left, otherwise the `_Cuts` of the rows
-    over the cells left.
+    """The reduction of a row combination whose cell at position p is
+    constant with value consts[p] (None if not constant) and repeats the
+    cell first seen at position repeats[p]: the rows agreeing with those
+    constants and repeats, over the cells left.  Returns the getter of the
+    tuple of cells left from the combination's cells, and the `_Cuts` of
+    those rows, or None when they cannot cut: one cell is left, or they are
+    the product of their projections (see the module docstring).
     """
     slots = [p for p, q in enumerate(repeats) if p == q and consts[p] is None]
-    checks = list(enumerate(zip(repeats, consts)))
-    fits = [t for t in rows if all(t[p] == (t[q] if c is None else c)
-                                   for p, (q, c) in checks)]
-    if not fits:
-        return None
     if len(slots) == 1:
-        allowed = sum({1 << t[slots[0]] for t in fits})
-    else:
-        allowed = _Cuts({tuple(1 << t[p] for p in slots) for t in fits})
-    return len(slots), itemgetter(*slots), allowed
+        return itemgetter(slice(slots[0], slots[0] + 1)), None
+    pick = itemgetter(*slots)
+    checks = list(enumerate(zip(repeats, consts)))
+    fits = {pick(t) for t in rows if all(t[p] == (t[q] if c is None else c)
+                                         for p, (q, c) in checks)}
+    if len(fits) == math.prod(len(set(column)) for column in zip(*fits)):
+        return pick, None
+    return pick, _Cuts({tuple([1 << v for v in t]) for t in fits})
 
 
 class Network:
-    """Preservation constraints of `relations` on conservative k-ary tables.
+    """Preservation constraints of `relations` on conservative k-ary tables:
+    one per non-constant row combination whose reduction can cut, while
+    every non-constant combination counts toward the cell order.
 
     Built once and searched under any number of `pinned` cell sets; it
     keeps the arc-consistent domains without pins, found by its first
@@ -100,53 +114,52 @@ class Network:
 
     def __init__(self, size: int, arity: int, relations: Sequence[Relation]):
         self.size, self.arity = size, arity
-        self.grid = list(itertools.product(range(size), repeat=arity))
-        # Constant cells keep their one value; the others are searched.
-        constant = {c: c[0] for c in self.grid if len(set(c)) == 1}
-        self.feasible = True
-        unary = []  # (cell, bitmask of its values allowed)
-        scopes = []  # (cells, cuts of the rows allowed over them)
+        self.grid = grid = list(itertools.product(range(size), repeat=arity))
+        # A cell is its index in the grid.  Constant cells keep their one
+        # value; the others are searched.
+        distinct = [len(set(c)) for c in grid]
+        constant = [c[0] if d == 1 else None for c, d in zip(grid, distinct)]
+        scopes = []  # (cells, cuts) of the combinations that can cut
+        inert = []  # cells of the combinations that cannot
         for rel in {id(rel): rel for rel in relations if rel.tuples}.values():
             rows = rel.sorted_tuples()
             reduced: dict = {}  # by constants and repeats of the cells
             # Per position, the cells of every row combination in turn.
-            columns = [list(itertools.product(column, repeat=arity))
-                       for column in zip(*rows)]
+            columns = []
+            for column in zip(*rows):
+                cells = column
+                for _ in range(arity - 1):
+                    cells = [c * size + v for c in cells for v in column]
+                columns.append(cells)
             for cells, consts in zip(zip(*columns), zip(*(
-                    map(constant.get, column) for column in columns))):
+                    map(constant.__getitem__, column) for column in columns))):
                 if None not in consts:  # one row repeated
                     continue
                 key = (consts, tuple(map(cells.index, cells)))
-                if key not in reduced:
-                    reduced[key] = _reduce(rows, *key)
-                found = reduced[key]
+                found = reduced.get(key)
                 if found is None:
-                    self.feasible = False
-                    continue
-                left, pick, allowed = found
-                (unary if left == 1 else scopes).append((pick(cells), allowed))
-        degree = Counter(cell for cell, _mask in unary)
+                    found = reduced[key] = _reduce(rows, *key)
+                pick, cuts = found
+                if cuts is None:
+                    inert.append(pick(cells))
+                else:
+                    scopes.append((pick(cells), cuts))
+        degree = Counter(itertools.chain.from_iterable(inert))
         degree.update(itertools.chain.from_iterable(
             cells for cells, _cuts in scopes))
 
-        # Searched cells in the static order, most constrained first, then
-        # the constant cells.
-        order = sorted((c for c in self.grid if c not in constant),
-                       key=lambda c: (-degree[c], _cell_order_key(c)))
-        self.searched = len(order)
-        order += constant
-        self.index = index = {c: i for i, c in enumerate(order)}
-        self.options = [_options(c) for c in order]
+        # Searched cells in the static order, most constrained first.
+        self.order = sorted((g for g, v in enumerate(constant) if v is None),
+                            key=lambda g: (-degree[g], distinct[g], g))
+        self.index = {c: g for g, c in enumerate(grid)}
+        self.options = [_options(c) for c in grid]
         self.domains = [sum(1 << v for v in opts) for opts in self.options]
         self.start = [opts[0] for opts in self.options]
-        for cell, mask in unary:
-            self.domains[index[cell]] &= mask
-        # (scope in search order, cuts), and per cell the constraints on
-        # it; constraints reduced alike share their cuts
-        self.constraints = [(tuple(map(index.__getitem__, cells)), cuts)
-                            for cells, cuts in scopes]
-        self.on_cell: list[list[int]] = [[] for _ in order]
-        for k, (scope, _cuts) in enumerate(self.constraints):
+        # (scope, cuts), and per cell the constraints on it; constraints
+        # reduced alike share their cuts
+        self.constraints = scopes
+        self.on_cell: list[list[int]] = [[] for _ in grid]
+        for k, (scope, _cuts) in enumerate(scopes):
             for c in scope:
                 self.on_cell[c].append(k)
         self._root: Optional[list[int]] = None  # arc consistent, unpinned
@@ -184,32 +197,34 @@ class Network:
         """Assign the searched cells in order, first option first, keeping
         arc consistency; True once all are assigned (`val` holds the
         table), False if none fits."""
+        order, options, on_cell = self.order, self.options, self.on_cell
         trail: list[tuple[int, int]] = []
-        tried = [0] * (self.searched + 1)  # next option index per cell
-        marks = [0] * (self.searched + 1)  # trail length on reaching a cell
-        cell = 0
-        while cell < self.searched:
-            while len(trail) > marks[cell]:
+        tried = [0] * (len(order) + 1)  # next option index per depth
+        marks = [0] * (len(order) + 1)  # trail length on reaching a depth
+        depth = 0
+        while depth < len(order):
+            while len(trail) > marks[depth]:
                 c, old = trail.pop()
                 dom[c] = old
-            options, mask, k = self.options[cell], dom[cell], tried[cell]
-            while k < len(options) and not mask >> options[k] & 1:
+            cell = order[depth]
+            opts, mask, k = options[cell], dom[cell], tried[depth]
+            while k < len(opts) and not mask >> opts[k] & 1:
                 k += 1
-            if k == len(options):
-                if cell == 0:
+            if k == len(opts):
+                if depth == 0:
                     return False
-                cell -= 1
+                depth -= 1
                 continue
-            tried[cell] = k + 1
-            val[cell] = v = options[k]
+            tried[depth] = k + 1
+            val[cell] = v = opts[k]
             if mask != 1 << v:  # a domain of one value is propagated already
                 trail.append((cell, mask))
                 dom[cell] = 1 << v
-                if not self._propagate(dom, self.on_cell[cell], trail):
+                if not self._propagate(dom, on_cell[cell], trail):
                     continue
-            cell += 1
-            tried[cell] = 0
-            marks[cell] = len(trail)
+            depth += 1
+            tried[depth] = 0
+            marks[depth] = len(trail)
         return True
 
     def search(self, pinned: dict[Cell, int]) -> Optional[dict[Cell, int]]:
@@ -236,8 +251,7 @@ class Network:
             cut[c] = 1 << want
         if self._root is None:
             dom = list(self.domains)
-            if not (self.feasible and all(dom) and self._propagate(
-                    dom, range(len(self.constraints)), [])):
+            if not self._propagate(dom, range(len(self.constraints)), []):
                 dom = []
             self._root = dom
         if not self._root:
@@ -253,8 +267,7 @@ class Network:
         val = list(self.start)
         if not (self._propagate(dom, queue, []) and self._dfs(dom, val)):
             return None
-        index = self.index
-        return {c: val[index[c]] for c in self.grid}
+        return dict(zip(self.grid, val))
 
 
 def search_operation(network: Network, pinned: dict[Cell, int]

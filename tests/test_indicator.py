@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 from ccsp.classify import ConstraintLanguage, classify_language
 from ccsp.harness import Rng, canonical_algebra, gen_label_graph
@@ -9,10 +10,10 @@ from ccsp.model import close_under_ops, relation
 
 # -- the cut maps, against their constraints' rows ---------------------------
 
-def _scoped_rows(size, arity, rels):
-    """Per constraint of more than one cell, in the network's order: its
-    cells and the rows of its relation fitting the constant and repeated
-    cells of its row combination, over those cells."""
+def _reductions(size, arity, rels):
+    """Per non-constant row combination, in the network's order: its
+    non-constant cells, each once, and the rows of its relation fitting the
+    constant and repeated cells of the combination, over those cells."""
     out = []
     for rel in {id(r): r for r in rels if r.tuples}.values():
         rows = sorted(rel.tuples)
@@ -26,11 +27,26 @@ def _scoped_rows(size, arity, rels):
                            if len(set(c)) == 1)
                     and all(t[p] == t[cells.index(c)]
                             for p, c in enumerate(cells))]
-            if fits and len(scope) > 1:
-                firsts = [cells.index(c) for c in scope]
-                out.append((tuple(scope),
-                            {tuple(t[p] for p in firsts) for t in fits}))
+            assert set(combo) <= set(fits)  # its own rows always fit
+            firsts = [cells.index(c) for c in scope]
+            out.append((tuple(scope),
+                        {tuple(t[p] for p in firsts) for t in fits}))
     return out
+
+
+def _is_product(rows):
+    """Whether `rows` are the product of their projections."""
+    product = 1
+    for column in zip(*rows):
+        product *= len(set(column))
+    return len(rows) == product
+
+
+def _scoped_rows(size, arity, rels):
+    """The reductions of more than one cell whose rows are not the product
+    of their projections: the network's constraints, in its order."""
+    return [(scope, rows) for scope, rows in _reductions(size, arity, rels)
+            if len(scope) > 1 and not _is_product(rows)]
 
 
 def _direct_cut(rows, doms):
@@ -42,9 +58,10 @@ def _direct_cut(rows, doms):
     return tuple(sum({1 << v for v in values}) for values in zip(*inside))
 
 
-def test_every_cut_a_network_fills_is_its_rows_inside_the_domains():
+def _small_languages():
+    """60 seeded (size, arity, relations): 2 or 3 elements, binary or
+    ternary tables, one to three relations of arity 2 or 3."""
     rng = Rng(253)
-    checked = 0
     for i in range(60):
         r = rng.split("cuts", i)
         size, arity = 2 + i % 2, 2 + i // 2 % 2
@@ -54,12 +71,17 @@ def test_every_cut_a_network_fills_is_its_rows_inside_the_domains():
                                           repeat=r.randint(2, 3)))
             rels.append(relation(
                 r.sample(pool, r.randint(2, min(6, len(pool))))))
+        yield size, arity, rels
+
+
+def test_every_cut_a_network_fills_is_its_rows_inside_the_domains():
+    checked = 0
+    for size, arity, rels in _small_languages():
         net = Network(size, arity, rels)
-        cells = sorted(net.index, key=net.index.get)
         for a, b in itertools.permutations(range(size), 2):
             net.search({(a,) * (arity - 1) + (b,): b})
         expected = _scoped_rows(size, arity, rels)
-        assert [tuple(cells[c] for c in scope)
+        assert [tuple(net.grid[c] for c in scope)
                 for scope, _cuts in net.constraints] == \
             [scope for scope, _rows in expected]
         seen = set()  # constraints reduced alike share their cut map
@@ -71,6 +93,48 @@ def test_every_cut_a_network_fills_is_its_rows_inside_the_domains():
                 assert cut == _direct_cut(rows, doms), (rels, doms)
                 checked += 1
     assert checked >= 200, checked
+
+
+def test_every_combination_a_network_leaves_out_admits_all_its_values():
+    """A combination without a constraint allows every combination of its
+    cells' conservative values, so it can cut no domain inside them."""
+    left_out = Counter()
+    for size, arity, rels in _small_languages():
+        net = Network(size, arity, rels)
+        built = Counter(
+            (tuple(net.grid[c] for c in scope),
+             frozenset(tuple(b.bit_length() - 1 for b in bits)
+                       for bits in cuts.rows))
+            for scope, cuts in net.constraints)
+        every = Counter((scope, frozenset(rows))
+                        for scope, rows in _reductions(size, arity, rels))
+        assert not built - every
+        for scope, rows in every - built:
+            assert set(itertools.product(*map(set, scope))) <= rows, \
+                (rels, scope)
+            left_out[len(scope) > 1] += 1
+    assert left_out[False] >= 400 and left_out[True] >= 200, left_out
+
+
+def test_the_cell_order_counts_every_non_constant_combination():
+    """Most constrained first by the degree over all non-constant
+    combinations, built or not, then fewer distinct values, then the
+    cell."""
+    moved = 0
+    for size, arity, rels in _small_languages():
+        net = Network(size, arity, rels)
+        grid = list(itertools.product(range(size), repeat=arity))
+
+        def order(scopes):
+            degree = Counter(itertools.chain.from_iterable(scopes))
+            return sorted((c for c in grid if len(set(c)) > 1),
+                          key=lambda c: (-degree[c], len(set(c)), c))
+
+        want = order(scope for scope, _ in _reductions(size, arity, rels))
+        assert [net.grid[g] for g in net.order] == want, rels
+        moved += want != order(
+            scope for scope, _ in _scoped_rows(size, arity, rels))
+    assert moved >= 10, moved
 
 
 def test_a_repeated_pin_set_gets_an_equal_table_of_its_own():
