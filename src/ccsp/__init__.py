@@ -18,7 +18,7 @@ from .harness import (GeneratorConfig, Rng, brute_force_solve, canonical_a3,
                       canonical_algebra, gen_algebra, gen_instance,
                       gen_planted_instance)
 from .laws import LAWS, LawResult, check_law, run_law_suite
-from .minimality import Propagator, establish_3_minimality, is_3_minimal
+from .minimality import Propagator, establish_3_minimality
 from .model import (UNSAT, Algebra, Constraint, Instance, Relation,
                     SolveResult, apply_componentwise, close_under_ops,
                     project, relation, sat, summ, validate_instance,

@@ -8,13 +8,16 @@ invariant failure or any other crash.
 `solve` resolves the algebra with `jsonio.load_algebra`.  Both hand the
 instance to `solver.run_pipeline`, which runs the checks and gives the
 verdict, and `_report` prints every result and picks its exit code.
+
+`bench` runs the checkout's `perfbench/run.py` in a child process with
+every argument after `bench`; exits 0 and 2 pass through, others become 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import subprocess
 import sys
-import time
 from pathlib import Path
 
 from .classify import classify_language
@@ -26,13 +29,14 @@ from .jsonio import (_as_obj, algebra_to_obj, dump, instance_from_obj,
                      instance_to_obj, language_from_obj, load_algebra,
                      result_to_obj)
 from .laws import run_law_suite
-from .solver import PipelineResult, run_pipeline, solve
+from .solver import PipelineResult, run_pipeline
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
 EXIT_INVALID = 2
 EXIT_NP_COMPLETE = 3
 EXIT_INTERNAL = 4
+BENCH_SCRIPT = Path(__file__).resolve().parents[2] / "perfbench" / "run.py"
 
 
 def _emit(obj: dict, as_json: bool, lines: list[str]):
@@ -135,41 +139,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = []
-    for chunk in args.sizes.split(","):
-        try:
-            nv, nc = chunk.lower().split("x")
-            sizes.append((int(nv), int(nc)))
-        except ValueError:
-            raise InvalidArgumentError(
-                f"size {chunk!r} is not VARIABLESxCONSTRAINTS") from None
-    rows = []
-    for mix_name, weights in (("majority", (0.0, 1.0, 0.0)),
-                              ("affine", (0.0, 0.0, 1.0))):
-        for nv, nc in sizes:
-            cfg = GeneratorConfig(seed=args.seed, domain_size=args.domain_size,
-                                  variable_count=nv, constraint_count=nc,
-                                  max_arity=3, label_weights=weights)
-            alg, graph = gen_algebra(cfg)
-            inst = gen_planted_instance(alg, graph, cfg)
-            t0 = time.perf_counter()
-            result, trace = solve(inst, alg, graph)
-            dt = time.perf_counter() - t0
-            guideline = 2 * max((len(inst.domains[v])
-                                 for v in inst.variables), default=0)
-            rows.append({"mix": mix_name, "variables": nv, "constraints": nc,
-                         "status": result.status, "seconds": round(dt, 3),
-                         "depth": trace.depth, "depth_guideline": guideline,
-                         "nodes": trace.nodes})
-    if args.json:
-        print(dump({"runs": rows}))
-    else:
-        for r in rows:
-            print(f"{r['mix']:>9} |V|={r['variables']:>4} cons={r['constraints']:>4} "
-                  f"-> {r['status']:>5} in {r['seconds']:7.3f}s "
-                  f"depth {r['depth']} (guideline {r['depth_guideline']}) "
-                  f"nodes {r['nodes']}")
-    return EXIT_OK
+    # Python itself exits 2 on a missing script: a copy outside a checkout
+    code = subprocess.run([sys.executable, BENCH_SCRIPT, *args.rest]).returncode
+    return code if code in (EXIT_OK, EXIT_INVALID) else EXIT_INTERNAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,17 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="scaling smoke runs")
-    p.add_argument("--sizes", default="100x150")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--domain-size", type=int, default=4)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("bench", add_help=False, help="run perfbench/run.py")
     p.set_defaults(func=cmd_bench)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args, rest = ap.parse_known_args(argv)
+    if rest and args.command != "bench":
+        ap.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.rest = rest
     try:
         return args.func(args)
     except (InvalidArgumentError, OracleBudgetError) as exc:

@@ -1,4 +1,4 @@
-"""Establish and test 3-minimality: the partial-solution tables.
+"""Establish 3-minimality: the partial-solution tables.
 
 The tables keep, for every variable set W with |W| <= 3, the candidate
 partial assignments on W surviving mutual filtering against all constraints
@@ -25,17 +25,16 @@ it a projection of what that revision read:
   candidate triples holding the pair;
 - a triple: the constraints on all three variables.
 
-A pair revision cuts a pair to the product of its domains and projects it
-onto them.  Neither it nor a triple on a shrunken domain is queued: at the
-fixpoint of the rest they would shrink nothing, so only `is_3_minimal`
-runs them, as an independent re-check.  There, every table on the scope of
-a constraint is a projection of its tuples (a default pair holds it).  A
-pair that no constraint covers was materialized by a triple whose two
-other pairs were materialized, and each materialized pair of a triple is
-its projection.  By induction on the order of materialization, every
-materialized pair projects onto exactly the domains of its variables; a
-materialized triple has a materialized pair on each variable, so it lies
-in the domains and its join keeps it.
+No pair is revised on its own (cut to the product of its domains), nor
+is a triple on a shrunken domain: at the fixpoint of the rest neither
+would shrink anything.  There, every table on the scope of a constraint
+is a projection of its tuples (a default pair holds it); a pair that no
+constraint covers was materialized by a triple whose two other pairs
+were, and each materialized pair of a triple is its projection.  By
+induction on the order of materialization, every materialized pair
+projects onto exactly the domains of its variables; a materialized triple
+has a materialized pair on each variable, so it lies in the domains and
+its join keeps it.
 
 Every write to a table is one cut (`_cut`) to a subset of it: the table
 shrinks exactly when the subset is smaller, and a default pair's size is
@@ -46,9 +45,9 @@ products of domains.  The join is the set of triples over D_c whose pairs
 lie in their tables, so a triple revision gets triple & join by keeping
 the tuples whose pairs lie in the materialized pairs and whose values lie
 in the domains that the join reads; the projections of that lie in the
-pairs.  Only a candidate triple's first revision builds the join.  A pair
-revision filters the pair by the domains first.  A triple with no table
-yet takes a constraint's projection unmeasured and queues its readers.
+pairs.  Only a candidate triple's first revision builds the join.  A
+triple with no table yet takes a constraint's projection unmeasured and
+queues its readers.
 
 The filters are monotone, so the fixpoint does not depend on the order of
 revision, and queueing a revision too many is safe.  Tables are replaced,
@@ -56,8 +55,8 @@ never mutated, so a trail of replaced values can undo a branch (`mark` /
 `undo`).
 
 The engine at its fixpoint is the one carrier of a node's tables:
-`establish_3_minimality` returns it beside the pruned instance, the base
-solvers assign on it, and `is_3_minimal` re-checks it in place.
+`establish_3_minimality` returns it beside the pruned instance, and the
+base solvers assign on it.
 """
 
 from __future__ import annotations
@@ -78,9 +77,8 @@ _GET = {pos: itemgetter(*pos) for pos in ((0,), (1,), (2,), *_PAIR_POS)}
 
 
 class Propagator:
-    """Worklist fixpoint engine behind establish_3_minimality; every
-    constraint starts queued.  A revision is a constraint's index or the
-    key of a pair or triple."""
+    """Worklist fixpoint engine behind establish_3_minimality.  A revision
+    is a constraint's index (each starts queued) or a triple's key."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -215,14 +213,6 @@ class Propagator:
             self._cut(key, set(map(get, kept)), i)
         self.fresh.discard(i)
 
-    def _revise_pair(self, key: VarSet):
-        a, b = key
-        da, db = self.doms[a], self.doms[b]
-        self._cut(key, [t for t in self.pairs[key]
-                        if t[0] in da and t[1] in db], key)
-        self._cut((a,), {t[0] for t in self.pairs[key]}, key)
-        self._cut((b,), {t[1] for t in self.pairs[key]}, key)
-
     def _revise_triple(self, key: VarSet):
         kept = self.triples.get(key)
         if kept is None:  # a candidate triple's first revision
@@ -255,8 +245,6 @@ class Propagator:
             queued.discard(r)
             if type(r) is int:
                 self._revise_constraint(r)
-            elif len(r) == 2:
-                self._revise_pair(r)
             else:
                 self._revise_triple(r)
         return not self.failed
@@ -313,22 +301,3 @@ def establish_3_minimality(inst: Instance
     if not engine.run():
         return None
     return engine.snapshot(), engine
-
-
-def is_3_minimal(engine: Propagator) -> bool:
-    """True iff one more revision of every constraint (projecting its
-    tuples again) and of every materialized table writes nothing; the
-    engine is left as it was, pending revisions included.  Candidate
-    triples are materialized by then: the cut that materialized a
-    triple's second pair queued the triple's revision."""
-    mark = engine.mark()
-    pending = list(engine.queue)
-    fresh = set(engine.fresh)
-    engine.fresh.update(engine.rels)
-    for revisions in (engine.rels, engine.pairs, engine.triples):
-        engine._queue(revisions)
-    quiet = engine.run() and len(engine.trail) == mark
-    engine.undo(mark)
-    engine._queue(pending)
-    engine.fresh = fresh
-    return quiet

@@ -4,6 +4,9 @@ import itertools
 import json
 import operator
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -332,18 +335,16 @@ def test_cli_oracle_beyond_recursion_limit(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["gen", "algebra", "-o", "."], "cannot write"),
-    (["bench", "--sizes", "3"], "is not VARIABLESxCONSTRAINTS"),
     (["gen", "instance", "--weights", "a,b,c"], "three comma-separated"),
     (["gen", "instance", "--planted", "--variables", "1"], "planted"),
     (["gen", "instance", "--planted", "--max-arity", "1"], "planted"),
-    (["bench", "--sizes", "1x1"], "planted"),
     (["gen", "algebra", "--weights", "nan,1,1"], "finite sum"),
     (["gen", "instance", "--weights", "1,inf,1"], "finite sum"),
     (["gen", "instance", "--weights", "1,1,1e999"], "finite sum"),
     (["gen", "algebra", "--weights", "1e308,1e308,0"], "finite sum"),
-], ids=["gen-output-dir", "bench-sizes", "gen-weights", "planted-variables",
-        "planted-max-arity", "bench-one-variable", "gen-weights-nan",
-        "gen-weights-inf", "gen-weights-overflow", "gen-weights-sum-overflow"])
+], ids=["gen-output-dir", "gen-weights", "planted-variables",
+        "planted-max-arity", "gen-weights-nan", "gen-weights-inf",
+        "gen-weights-overflow", "gen-weights-sum-overflow"])
 def test_cli_bad_arguments_exit_invalid(tmp_path, capsys, monkeypatch, argv,
                                         message):
     monkeypatch.chdir(tmp_path)
@@ -614,10 +615,9 @@ def test_cli_mutated_instance_exits_with_a_documented_code(tmp_path,
 
 
 # The CLI argument fuzz.  No run asks for more than 6 variables (the gen
-# default): the largest count drawn is 2, the largest bench size 3x2.
+# default): the largest count drawn is 2.  `bench` is left out, as each
+# run would start a benchmark; its own tests are below.
 ARG_NUMBERS = ["0", "1", "-1", "2", "nan", "inf", "", "x"]
-ARG_SIZES = ["3x2", "3", "2x", "x2", "2x2x2", "ax1", "-1x2", "0x0", "1x1",
-             "3x2,2x1", "3x2,", ",", "nanx1", ""]
 ARG_WEIGHTS = ["1,1,1", "0,1,0", "1,1", "1,1,1,1", "nan,1,1", "1,inf,1",
                "1,1,1e999", "-1,1,1", "0,0,0", "a,b,c", "1,,1", ""]
 ARG_FILES = ["inst.json", "lang.json", "hard.json", "empty.json",
@@ -625,8 +625,8 @@ ARG_FILES = ["inst.json", "lang.json", "hard.json", "empty.json",
 ARG_FLAG = [True]
 # Per subcommand, each argument with its pool: positionals (in <>) and the
 # options in ARG_ALWAYS run with their pool's first value unless chosen,
-# other options are left out.  --samples and --sizes are always passed, so
-# that their defaults (200 law samples, a 100-variable bench) never run.
+# other options are left out.  --samples is always passed, so that its
+# default (200 law samples) never runs.
 ARG_COMMANDS = {
     "classify": {"<language>": ["lang.json", "hard.json", "inst.json",
                                 "empty.json", "missing.json", "."],
@@ -642,10 +642,8 @@ ARG_COMMANDS = {
             "--constraints": ARG_NUMBERS, "--max-arity": ARG_NUMBERS,
             "--weights": ARG_WEIGHTS, "--planted": ARG_FLAG,
             "-o": ["out.json", "", ".", "no/out.json"]},
-    "bench": {"--sizes": ARG_SIZES, "--seed": ARG_NUMBERS,
-              "--domain-size": ARG_NUMBERS, "--json": ARG_FLAG},
 }
-ARG_ALWAYS = {"--samples", "--sizes"}
+ARG_ALWAYS = {"--samples"}
 
 
 def _fuzz_argv(command: str, chosen: dict) -> list[str]:
@@ -686,6 +684,50 @@ def test_cli_fuzzed_arguments_exit_with_a_documented_code(
             code = exc.code
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3) and "internal" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("child, code", [(0, 0), (2, 2), (3, 4), (1, 4),
+                                         (-9, 4)])
+def test_cli_bench_runs_the_benchmark_with_its_arguments(monkeypatch, child,
+                                                         code):
+    """`ccsp bench ARGS` runs this checkout's perfbench/run.py with ARGS,
+    `-h` included, under the same Python; the runner's exits 0 and 2 pass
+    through, any other is reported as 4."""
+    calls = []
+
+    def spy(argv, **kwargs):
+        calls.append((argv, kwargs))
+        return subprocess.CompletedProcess(argv, child)
+    monkeypatch.setattr(subprocess, "run", spy)
+    args = ["--workload", "planted", "--seed", "3", "--seconds", "1", "-h"]
+    assert main(["bench", *args]) == code
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    assert calls == [([sys.executable, script, *args], {})]
+
+
+def test_cli_bench_without_the_benchmark_exits_invalid(tmp_path, monkeypatch,
+                                                       capfd):
+    """Outside a source checkout there is no perfbench/run.py to run."""
+    script = tmp_path / "perfbench" / "run.py"
+    monkeypatch.setattr(cli, "BENCH_SCRIPT", script)
+    assert main(["bench", "--workload", "parity"]) == cli.EXIT_INVALID == 2
+    assert str(script) in capfd.readouterr().err
+
+
+def test_cli_other_commands_refuse_extra_arguments(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["laws", "--samples", "1", "--workload", "parity"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workload parity" in capsys.readouterr().err
+
+
+def test_cli_bench_runs_a_checked_benchmark(capfd):
+    assert main(["bench"]) == cli.EXIT_INVALID == 2  # the runner's refusal
+    assert "--workload" in capfd.readouterr().err
+    assert main(["bench", "--workload", "parity", "--seed", "1",
+                 "--seconds", "0"]) == 0
+    last = capfd.readouterr().out.splitlines()[-1]
+    assert json.loads(last)["correct"] is True, last
 
 
 def test_fuzz_base_is_a_valid_sat_instance(tmp_path):

@@ -132,6 +132,34 @@ def test_reflexive_graphs_are_tractable_exactly_when_interval():
     assert min(verdicts.values()) >= 30, verdicts
 
 
+def _random_interval_graph(n, rng):
+    """The edges of the intersection graph of n random closed intervals,
+    each starting in range(2n) and 0-5 long: an interval graph by
+    construction."""
+    spans = []
+    for _ in range(n):
+        left = rng.randrange(2 * n)
+        spans.append((left, left + rng.randrange(6)))
+    return [(u, v) for u, v in itertools.combinations(range(n), 2)
+            if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]]
+
+
+def test_reflexive_interval_graphs_at_seven_and_eight_vertices():
+    rng = random.Random(23)
+    for k in range(16):
+        n = 7 + k % 2
+        edges = _random_interval_graph(n, rng)
+        assert _is_interval(_neighbours(n, edges)), (n, edges)
+        rel = _graph_relation(n, edges, reflexive=True)
+        verdict = classify_language(ConstraintLanguage(n, (rel,)))
+        assert verdict.tractable, (n, edges, verdict.kind)
+        alg = verdict.algebra
+        for name, table, arity in (("f", alg.f, 2), ("p", alg.p, 2),
+                                   ("g", alg.g, 3), ("h", alg.h, 3)):
+            assert _is_conservative_polymorphism(
+                table, arity, rel), (n, edges, name)
+
+
 def test_irreflexive_graphs_with_an_odd_cycle_are_np_complete():
     graphs = [(n, _cycle(n)) for n in (5, 7)]
     rng = random.Random(19)

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from ccsp.errors import InvalidArgumentError
 from ccsp.harness import (GeneratorConfig, gen_algebra, gen_instance,
                           gen_planted_instance)
-from ccsp.minimality import Propagator, establish_3_minimality, is_3_minimal
+from ccsp.minimality import Propagator, establish_3_minimality
 from ccsp.model import Instance, relation, restrict_instance
 from ccsp.solver import solve
-from enumeration import brute_force_solutions
+from enumeration import brute_force_solutions, reference_fixpoint
 
 
 EQ = relation([(0, 0), (1, 1)])
@@ -66,23 +66,7 @@ def test_idempotence_of_establish():
     assert again.domains == pruned.domains
     for key, val in engine.nontrivial_items():
         assert engine2.table(key) == val
-    assert is_3_minimal(engine)
-
-
-def test_is_3_minimal_rejects_unpruned():
-    assert not is_3_minimal(Propagator(chain_equalities()))
-
-
-def test_is_3_minimal_leaves_the_engine_as_it_was():
-    pruned, engine = establish_3_minimality(chain_equalities())
-    pairs, triples = dict(engine.pairs), dict(engine.triples)
-    assert is_3_minimal(engine)
-    assert engine.snapshot().constraints == pruned.constraints
-    assert (engine.pairs, engine.triples) == (pairs, triples)
-    engine = Propagator(chain_equalities())
-    assert not is_3_minimal(engine)
-    assert engine.run() and engine.doms["x"] == {0, 1}
-    assert engine.table(("x", "y", "z")) == {(0, 0, 0), (1, 1, 1)}
+    assert_matches_reference(engine, chain_equalities())
 
 
 def test_repeated_variable_scope():
@@ -107,7 +91,7 @@ def test_solution_preservation_random(seed):
         return
     pruned, engine = out
     assert brute_force_solutions(pruned) == before
-    assert is_3_minimal(engine)
+    assert_matches_reference(engine, inst)
 
 
 def test_tables_monotone_under_propagation():
@@ -130,45 +114,6 @@ def test_assign_and_repropagate():
 
 
 # -- differential checks of the worklist engine --------------------------------
-
-def reference_fixpoint(inst):
-    """Greatest fixpoint over explicit tables on every set of one to three
-    variables, by plain full passes; None when a table empties."""
-    keys = [k for size in (1, 2, 3)
-            for k in itertools.combinations(inst.variables, size)]
-    tab = {k: set(itertools.product(*(inst.domains[v] for v in k)))
-           for k in keys}
-    cons = [(scope, {t for t in rel.tuples if all(
-        t[i] == t[scope.index(v)] for i, v in enumerate(scope))})
-        for scope, rel in inst.constraints]
-    changed = True
-    while changed and all(tab.values()):
-        changed = False
-        for scope, tuples in cons:
-            subs = [k for k in keys if set(k) <= set(scope)]
-
-            def proj(t, k):
-                return tuple(t[scope.index(v)] for v in k)
-            keep = {t for t in tuples if all(proj(t, k) in tab[k] for k in subs)}
-            changed |= len(keep) < len(tuples)
-            tuples &= keep
-            for k in subs:
-                new = tab[k] & {proj(t, k) for t in tuples}
-                changed |= len(new) < len(tab[k])
-                tab[k] = new
-        for k in keys[len(inst.variables):]:
-            for sub in itertools.combinations(range(len(k)), len(k) - 1):
-                skey = tuple(k[i] for i in sub)
-                new = {t for t in tab[k] if tuple(t[i] for i in sub) in tab[skey]}
-                changed |= len(new) < len(tab[k])
-                tab[k] = new
-                down = tab[skey] & {tuple(t[i] for i in sub) for t in new}
-                changed |= len(down) < len(tab[skey])
-                tab[skey] = down
-    if not all(tab.values()) or not all(t for _s, t in cons):
-        return None
-    return tab, [t for _s, t in cons]
-
 
 def mixed_instances(count=100):
     """Harness instances over semilattice-free (majority/affine) algebras."""
@@ -198,7 +143,6 @@ def test_fixpoint_matches_reference_on_mixed_instances():
         sat_count += 1
         pruned, engine = out
         assert_same_fixpoint(seed, engine, pruned, *ref)
-        assert is_3_minimal(engine), seed
     assert sat_count >= 30
 
 
@@ -288,7 +232,7 @@ def assert_matches_reference(engine, inst):
     ref = reference_fixpoint(inst)
     assert ref is not None
     assert_same_fixpoint(None, engine, engine.snapshot(), *ref)
-    assert is_3_minimal(engine) and not engine.queue
+    assert not engine.queue
 
 
 def walk_assign_and_undo(inst, data, check):
@@ -354,60 +298,79 @@ def cuts_checked():
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(st.one_of(small_instances(), triangle_instances()), st.data())
 def test_cuts_lie_inside_their_tables_through_assign_and_undo(inst, data):
-    def recheck(engine, _inst):
-        # pair revisions run only in is_3_minimal; with a domain cut still
-        # pending there, they also meet pairs reaching out of the domains
-        if engine is None:
-            return
-        assert is_3_minimal(engine)
-        for v in engine.variables:
-            if len(engine.doms[v]) > 1:
-                mark = engine.mark()
-                engine._cut((v,), {min(engine.doms[v])}, None)
-                is_3_minimal(engine)
-                engine.undo(mark)
-                return
-
     with cuts_checked():
-        walk_assign_and_undo(inst, data, recheck)
+        walk_assign_and_undo(inst, data, check_against_reference)
+
+
+def solve_planted(count=24):
+    """Solve seeded planted instances over four label mixes; each is sat."""
+    for seed in range(count):
+        weights = [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1)][seed % 4]
+        cfg = GeneratorConfig(seed=seed, domain_size=4,
+                              variable_count=8 + seed % 5,
+                              constraint_count=12, max_arity=3,
+                              label_weights=weights)
+        alg, graph = gen_algebra(cfg)
+        inst = gen_planted_instance(alg, graph, cfg)
+        assert solve(inst, alg, graph)[0].is_sat, seed
 
 
 def test_cuts_lie_inside_their_tables_in_planted_solves():
     with cuts_checked() as seen:
-        for seed in range(24):
-            weights = [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1)][seed % 4]
-            cfg = GeneratorConfig(seed=seed, domain_size=4,
-                                  variable_count=8 + seed % 5,
-                                  constraint_count=12, max_arity=3,
-                                  label_weights=weights)
-            alg, graph = gen_algebra(cfg)
-            inst = gen_planted_instance(alg, graph, cfg)
-            assert solve(inst, alg, graph)[0].is_sat, seed
+        solve_planted()
     # constraint revisions cut all sizes, triple revisions pairs and
     # triples, and assign a domain
     assert {(1, "int"), (2, "int"), (3, "int"), (1, "NoneType"),
             (2, "tuple"), (3, "tuple")} <= seen, seen
 
 
+def test_no_pair_revision_is_ever_queued():
+    """Only constraints and triples are revised: no key of two variables
+    reaches the queue, through fixpoints, assigns and undos on mixed
+    instances and through planted solves."""
+    queue, queued = Propagator._queue, []
+
+    def spy(self, revisions, cause=None):
+        revisions = list(revisions)
+        queued.extend(revisions)
+        queue(self, revisions, cause)
+
+    with mock.patch.object(Propagator, "_queue", spy):
+        for _seed, inst in mixed_instances():
+            out = establish_3_minimality(inst)
+            if out is None:
+                continue
+            pruned, engine = out
+            mark = engine.mark()
+            for v in pruned.variables:
+                for a in sorted(pruned.domains[v])[1:]:
+                    engine.assign(v, a)
+                    engine.undo(mark)
+        solve_planted()
+    kinds = {len(r) if type(r) is tuple else type(r).__name__
+             for r in queued}
+    assert kinds == {"int", 3}, kinds
+
+
 def test_run_at_fixpoint_revises_nothing(monkeypatch):
     calls = []
-    for name in ("_revise_constraint", "_revise_pair", "_revise_triple"):
+    for name in ("_revise_constraint", "_revise_triple"):
         method = getattr(Propagator, name)
         monkeypatch.setattr(Propagator, name,
                             lambda self, r, method=method: (
                                 calls.append(r), method(self, r)))
-    checked = 0
+    checked, kinds = 0, set()
     for seed, inst in mixed_instances(40):
         out = establish_3_minimality(inst)
         if out is None:
             continue
         _pruned, engine = out
         assert calls and not engine.queue, seed
-        assert is_3_minimal(engine) and not engine.queue, seed
+        kinds.update(type(r) for r in calls)
         calls.clear()
         assert engine.run() and calls == [] and not engine.queue, seed
         checked += 1
-    assert checked >= 10
+    assert checked >= 10 and kinds == {int, tuple}, (checked, kinds)
 
 
 def test_triple_revision_reads_a_pending_domain_cut():
