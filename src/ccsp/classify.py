@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidArgumentError, SynthesisFailureError
-from .indicator import Network, search_operation, table_from_assignment
-from .model import Algebra, Relation, algebra_violations
+from .indicator import Network, search_operation
+from .model import ARITY, Algebra, Relation, algebra_violations, at, nest
 
 SEMILATTICE = "semilattice"
 MAJORITY = "majority"
@@ -169,10 +169,6 @@ def classify_pair(lang: ConstraintLanguage, a: int, b: int,
     return PairLabel(NONE)
 
 
-# The arity of each uniform table.
-_ARITY = {"f": 2, "p": 2, "g": 3, "h": 3}
-
-
 def _pair_rule(op: str, kind: str, f, cell: tuple[int, ...]) -> int:
     """The value `op` ("f", "p", "g" or "h") takes on a two-valued cell of a
     pair labeled `kind`, given f.
@@ -198,20 +194,20 @@ def _pair_rule(op: str, kind: str, f, cell: tuple[int, ...]) -> int:
 
 def _pair_pins(graph: EdgeLabeledGraph, f, op: str) -> dict:
     """`_pair_rule` on every two-valued cell of every pair of the graph."""
-    arity = _ARITY[op]
     pins = {}
     for (a, b) in graph.pairs():
         kind = graph.kind(a, b)
-        for cell in _pair_cells(a, b, arity):
+        for cell in _pair_cells(a, b, ARITY[op]):
             pins[cell] = _pair_rule(op, kind, f, cell)
     return pins
 
 
-def _first_argument_table(size: int, arity: int, pins: dict):
-    """The table taking the pinned values, and its first argument elsewhere."""
-    return table_from_assignment(size, arity, {
-        cell: pins.get(cell, cell[0])
-        for cell in itertools.product(range(size), repeat=arity)})
+def _first_argument_table(size: int, op: str, pins: dict):
+    """The table of `op` taking the pinned values, and its first argument
+    elsewhere."""
+    arity = ARITY[op]
+    cells = itertools.product(range(size), repeat=arity)
+    return nest([pins.get(cell, cell[0]) for cell in cells], size, arity)
 
 
 def canonical_algebra(graph: EdgeLabeledGraph) -> Algebra:
@@ -219,10 +215,10 @@ def canonical_algebra(graph: EdgeLabeledGraph) -> Algebra:
     semilattice orientations, p, g and h follow `_pair_rule`, and every
     table takes its first argument elsewhere."""
     n = graph.size
-    f = _first_argument_table(n, 2, {
+    f = _first_argument_table(n, "f", {
         cell: graph.label(a, b).orientation[1] for (a, b) in graph.pairs()
         if graph.kind(a, b) == SEMILATTICE for cell in ((a, b), (b, a))})
-    p, g, h = (_first_argument_table(n, _ARITY[op], _pair_pins(graph, f, op))
+    p, g, h = (_first_argument_table(n, op, _pair_pins(graph, f, op))
                for op in "pgh")
     return Algebra(n, f, p, g, h)
 
@@ -261,7 +257,7 @@ def synthesize_uniform_ops(lang: ConstraintLanguage, graph: EdgeLabeledGraph,
         if w is None:
             raise SynthesisFailureError(f"no semilattice witness on pair "
                                         f"({a},{b}) along its label")
-        f = [[w[(f[x][y], f[y][x])] for y in range(n)] for x in range(n)]
+        f = [[w[f[x][y]][f[y][x]] for y in range(n)] for x in range(n)]
     f = tuple(tuple(f[f[x][y]][x] for y in range(n)) for x in range(n))
     for (a, b) in graph.pairs():
         if graph.kind(a, b) != SEMILATTICE and f[a][b] == f[b][a]:
@@ -269,12 +265,12 @@ def synthesize_uniform_ops(lang: ConstraintLanguage, graph: EdgeLabeledGraph,
                 f"f joins the {graph.kind(a, b)} pair ({a},{b})")
     tables = [f]
     for op in "pgh":
-        cells = search_operation(_network(lang, _ARITY[op], nets),
+        table = search_operation(_network(lang, ARITY[op], nets),
                                  _pair_pins(graph, f, op))
-        if cells is None:
+        if table is None:
             raise SynthesisFailureError(
                 f"no {op} table realizes the uniform pair behavior")
-        tables.append(table_from_assignment(n, _ARITY[op], cells))
+        tables.append(table)
     return Algebra(n, *tables)
 
 
@@ -310,8 +306,8 @@ def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph) -> list[str]:
             if not f[src][snk] == f[snk][src] == snk:
                 out.append(f"f must join toward {snk} on semilattice pair ({a},{b})")
         for name, table in alg.all_ops().items():
-            for cell in _pair_cells(a, b, _ARITY[name]):
-                got = functools.reduce(lambda node, x: node[x], cell, table)
+            for cell in _pair_cells(a, b, ARITY[name]):
+                got = at(table, cell)
                 want = _pair_rule(name, kind, f, cell)
                 if got != want:
                     out.append(f"{name}{cell}={got} should be {want} "
@@ -323,13 +319,9 @@ def check_uniformity_laws(alg: Algebra, graph: EdgeLabeledGraph) -> list[str]:
 def derive_m(alg: Algebra):
     """Compose m(x,y,z) = h(g(x,y,z), g(y,z,x), g(z,x,y)) as a table;
     computed once per algebra (an immutable value) and then reused."""
-    n = alg.size
-    return tuple(
-        tuple(
-            tuple(alg.h[alg.g[x][y][z]][alg.g[y][z][x]][alg.g[z][x][y]]
-                  for z in range(n))
-            for y in range(n))
-        for x in range(n))
+    n, g = alg.size, alg.g
+    return nest([alg.h[g[x][y][z]][g[y][z][x]][g[z][x][y]]
+                 for x, y, z in itertools.product(range(n), repeat=3)], n, 3)
 
 
 def gmm_violations(m, domain: Iterable[int], graph: EdgeLabeledGraph) -> list[str]:

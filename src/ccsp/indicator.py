@@ -35,8 +35,9 @@ first use.  A search pins some cells and assigns the rest in a fixed
 most-constrained-first order, maintaining arc consistency (MAC): each
 constraint revised cuts its cells' domains to its cut of them, and fails
 when no row is left.  Pruning only removes dead subtrees, so the table
-found is the first one in the static cell and value order.  A network
-searches each pin set once and answers a repeat from its memo.
+found is the first one in the static cell and value order, returned as
+the nested table of `model`.  A network searches each pin set once and
+answers a repeat from its memo.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidArgumentError
-from .model import Relation
+from .model import Relation, nest
 
 Cell = tuple[int, ...]
 
@@ -227,17 +228,17 @@ class Network:
             marks[depth] = len(trail)
         return True
 
-    def search(self, pinned: dict[Cell, int]) -> Optional[dict[Cell, int]]:
-        """The first conservative table preserving the relations, or None.
-        Every pinned cell must be a cell of the table.  Each pin set is
-        searched once; every call gets its own copy of the table."""
+    def search(self, pinned: dict[Cell, int]) -> Optional[tuple]:
+        """The first conservative table preserving the relations, as a
+        nested table, or None.  Every pinned cell must be a cell of the
+        table.  Each pin set is searched once; a repeat returns the
+        memoized table itself, which as a tuple cannot change."""
         key = frozenset(pinned.items())
         if key not in self._found:
             self._found[key] = self._search(pinned)
-        table = self._found[key]
-        return None if table is None else dict(table)
+        return self._found[key]
 
-    def _search(self, pinned: dict[Cell, int]) -> Optional[dict[Cell, int]]:
+    def _search(self, pinned: dict[Cell, int]) -> Optional[tuple]:
         cut = {}  # pinned cell -> its one value as a bitmask
         for cell, want in pinned.items():
             c = self.index.get(cell)
@@ -267,21 +268,13 @@ class Network:
         val = list(self.start)
         if not (self._propagate(dom, queue, []) and self._dfs(dom, val)):
             return None
-        return dict(zip(self.grid, val))
+        return nest(val, self.size, self.arity)
 
 
 def search_operation(network: Network, pinned: dict[Cell, int]
-                     ) -> Optional[dict[Cell, int]]:
+                     ) -> Optional[tuple]:
     """Find a conservative table preserving the network's relations, or
     None.  `pinned` fixes chosen cells (values must be conservative); free
     cells try their first argument first."""
     return network.search(pinned)
 
-
-def table_from_assignment(size: int, arity: int, assignment: dict[Cell, int]):
-    """Materialize a nested-tuple table from a full cell assignment."""
-    nested = [assignment[cell]
-              for cell in itertools.product(range(size), repeat=arity)]
-    for _ in range(arity):
-        nested = [tuple(nested[i:i + size]) for i in range(0, len(nested), size)]
-    return nested[0]

@@ -24,7 +24,7 @@ from .classify import (AFFINE, MAJORITY, SEMILATTICE,
                        EdgeLabeledGraph, PairLabel, classify_language,
                        semilattice_label)
 from .errors import InvalidArgumentError
-from .model import Algebra, Constraint, Instance, relation
+from .model import ARITY, Algebra, Constraint, Instance, relation
 from .solver import PipelineResult
 
 JsonLike = Union[dict, str, Path]
@@ -128,10 +128,7 @@ def algebra_to_obj(alg: Algebra, graph: EdgeLabeledGraph) -> dict:
     return {
         "universe": list(range(alg.size)),
         "labels": graph_to_obj(graph),
-        "f": [list(r) for r in alg.f],
-        "p": [list(r) for r in alg.p],
-        "g": [[list(r) for r in plane] for plane in alg.g],
-        "h": [[list(r) for r in plane] for plane in alg.h],
+        **json.loads(json.dumps(alg.all_ops())),  # tables as JSON lists
     }
 
 
@@ -162,13 +159,13 @@ def load_algebra(ref: JsonLike, base_dir: Optional[Path] = None
     if universe is None:
         raise InvalidArgumentError("algebra file needs a universe")
     size = len(_list(universe, "'universe'"))
-    if all(k in obj for k in ("f", "p", "g", "h")):
+    if all(op in obj for op in ARITY):
         if size < 1:
             raise InvalidArgumentError("the 'universe' must not be empty")
         tables = [_table(obj[op], size, k, f"'{op}' must be a "
                          f"{'x'.join([str(size)] * k)} JSON list of "
                          f"integers below {size}")
-                  for op, k in zip("fpgh", (2, 2, 3, 3))]
+                  for op, k in ARITY.items()]
         alg = Algebra(size, *tables)
         graph = graph_from_obj(size, obj.get("labels", []))
         if len(graph.labels) != size * (size - 1) // 2:

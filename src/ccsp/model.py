@@ -2,6 +2,11 @@
 
 Elements of an algebra are dense integer ids 0..size-1.  All values here are
 treated as immutable after construction; every operation is a pure function.
+
+An operation table is a nested tuple indexed by element id, one level per
+argument.  This module owns that format: `ARITY` gives the arity of each
+of an algebra's operations, `at` reads a table's value at a cell, and
+`nest` builds a table from its cell values in `itertools.product` order.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ _STEP_ELEMENTS = 1 << 21
 
 ValueTuple = tuple[int, ...]
 
+# The arity of each operation of an `Algebra`, in the order f, p, g, h.
+ARITY = {"f": 2, "p": 2, "g": 3, "h": 3}
+
 
 @dataclass(frozen=True)
 class Algebra:
@@ -36,14 +44,8 @@ class Algebra:
     g: tuple[tuple[tuple[int, ...], ...], ...]
     h: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def binary_ops(self) -> dict[str, tuple[tuple[int, ...], ...]]:
-        return {"f": self.f, "p": self.p}
-
-    def ternary_ops(self) -> dict[str, tuple]:
-        return {"g": self.g, "h": self.h}
-
     def all_ops(self) -> dict[str, tuple]:
-        return {**self.binary_ops(), **self.ternary_ops()}
+        return {name: getattr(self, name) for name in ARITY}
 
 
 def table_arity(table) -> int:
@@ -56,33 +58,39 @@ def table_arity(table) -> int:
     return arity
 
 
+def at(table, cell: Sequence[int]) -> int:
+    """The value of a table at a cell, one element id per argument."""
+    for v in cell:
+        table = table[v]
+    return table
+
+
+def nest(values: Sequence[int], size: int, arity: int):
+    """The `arity`-ary table over `size` elements whose cell values,
+    listed in `itertools.product(range(size), repeat=arity)` order, are
+    `values`."""
+    nested = list(values)
+    for _ in range(arity):
+        nested = [tuple(nested[i:i + size]) for i in range(0, len(nested), size)]
+    return nested[0]
+
+
 def algebra_violations(alg: Algebra) -> list[str]:
     """Check conservativity, idempotency and the absorption identity.
 
+    A cell whose value is none of its arguments is reported once: as not
+    idempotent if its arguments are all equal, else as not conservative.
     Absorption: f(x, f(x, y)) == f(x, y) for all x, y.  Returns a list of
     human-readable violation records; empty means all laws hold.
     """
     out: list[str] = []
     n = alg.size
-    for name, tab in alg.binary_ops().items():
-        for a in range(n):
-            for b in range(n):
-                v = tab[a][b]
-                if v not in (a, b):
-                    out.append(f"{name}({a},{b})={v} is not conservative")
-        for a in range(n):
-            if tab[a][a] != a:
-                out.append(f"{name}({a},{a})={tab[a][a]} is not idempotent")
-    for name, tab in alg.ternary_ops().items():
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    v = tab[a][b][c]
-                    if v not in (a, b, c):
-                        out.append(f"{name}({a},{b},{c})={v} is not conservative")
-        for a in range(n):
-            if tab[a][a][a] != a:
-                out.append(f"{name}({a},{a},{a}) is not idempotent")
+    for name, tab in alg.all_ops().items():
+        for cell in itertools.product(range(n), repeat=ARITY[name]):
+            v = at(tab, cell)
+            if v not in cell:
+                law = "idempotent" if len(set(cell)) == 1 else "conservative"
+                out.append(f"{name}{cell}={v} is not {law}")
     for a in range(n):
         for b in range(n):
             if alg.f[a][alg.f[a][b]] != alg.f[a][b]:
@@ -175,13 +183,7 @@ def apply_componentwise(table, args: Sequence[ValueTuple]) -> ValueTuple:
     for t in args:
         if len(t) != arity:
             raise InvalidArgumentError("argument tuples must share arity")
-    out = []
-    for i in range(arity):
-        node = table
-        for t in args:
-            node = node[t[i]]
-        out.append(node)
-    return tuple(out)
+    return tuple(at(table, column) for column in zip(*args))
 
 
 def _sorted_unique(*parts: np.ndarray) -> np.ndarray:
@@ -232,7 +234,7 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
             f"codes of {arity}-tuples over their values overflow 64 bits")
     if len(set(seed_tuples)) == product:
         return relation(seed_tuples, signature=signature)
-    at = np.arange(arity)[:, None]
+    positions = np.arange(arity)[:, None]
     radices = [max(values) + 1 for values in signature]
     value = digit = None  # digit[i, v]: v's rank at position i; value: back
     if math.prod(radices) > 2 ** 64:
@@ -251,15 +253,15 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
     bases = np.array(radices, dtype=np.uint64)[:, None]
     seed_digits = np.array(seed_tuples, dtype=np.uint64).T
     if digit is not None:
-        seed_digits = digit[at, seed_digits]
+        seed_digits = digit[positions, seed_digits]
     codes = _sorted_unique(powers @ seed_digits)
     tables = itertools.cycle([np.array(t, dtype=np.uint64)
-                              for t in (alg.f, alg.p, alg.g, alg.h)])
+                              for t in alg.all_ops().values()])
     idle = 0
     while True:
         cols = codes // powers[:, None] % bases  # (arity, n)
         if value is not None:
-            cols = value[at, cols]
+            cols = value[positions, cols]
         if idle == 4 or len(codes) == product:
             return relation(map(tuple, cols.T.tolist()), signature=signature)
         tab = next(tables)
@@ -276,7 +278,7 @@ def close_under_ops(seed: Iterable[Sequence[int]], alg: Algebra) -> Relation:
             args[0] = first[:, lo:lo + rows]
             images = tab[tuple(args)].reshape(arity, -1)
             if digit is not None:
-                images = digit[at, images]
+                images = digit[positions, images]
             grown = _sorted_unique(grown, powers @ images)
         idle = idle + 1 if len(grown) == len(codes) else 0
         codes = grown

@@ -177,28 +177,60 @@ def test_criterion_4_structural_law_suite():
            f"{ {k: v['hypothesis-not-met'] for k, v in sorted(rep.counts.items())} })")
 
 
-def test_criterion_5_minimality_contract():
-    """On each instance (at most 8 variables) the fixpoint re-established
-    from the pruned instance has the first fixpoint's tables, both equal
-    the reference fixpoint's tables on every set of one to three
-    variables, and pruning keeps the solutions."""
-    bad_idem = []
-    bad_reference = []
-    bad_preserve = []
+def _chained_pair_instances(count):
+    """Instances of binary constraints along a path of variables, plus one
+    more between two random ones.  Each relation is closed under its
+    algebra from the equality on the values both domains share (which
+    every idempotent operation preserves) and a few random pairs.  A pair
+    of variables that no constraint covers is then often cut by the triple
+    joining it through a third variable."""
+    for i in range(count):
+        cfg = GeneratorConfig(seed=5200 + i, domain_size=3 + i % 2)
+        alg, _graph = gen_algebra(cfg)
+        rng = Rng(cfg.seed).split("chain")
+        names = [f"x{k}" for k in range(4 + i % 3)]
+        doms = {v: frozenset(rng.sample(range(alg.size),
+                                        rng.randint(2, alg.size)))
+                for v in names}
+        cons = []
+        for u, w in list(zip(names, names[1:])) + [tuple(rng.sample(names, 2))]:
+            seeds = {(a, a) for a in doms[u] & doms[w]}
+            seeds |= {(rng.choice(sorted(doms[u])), rng.choice(sorted(doms[w])))
+                      for _ in range(rng.randint(0 if len(seeds) > 1 else 2, 2))}
+            cons.append(((u, w), close_under_ops(seeds, alg)))
+        yield Instance(names, doms, cons, alg)
+
+
+def _criterion_5_instances():
     for i in range(200):
         cfg = GeneratorConfig(seed=5000 + i, domain_size=2 + i % 3,
                               variable_count=4 + i % 5,     # |V| <= 8
                               constraint_count=3 + i % 6, max_arity=3)
         alg, graph = gen_algebra(cfg)
-        inst = gen_instance(alg, graph, cfg)
+        yield gen_instance(alg, graph, cfg)
+    yield from _chained_pair_instances(60)
+
+
+def test_criterion_5_minimality_contract():
+    """On each instance (at most 8 variables) the fixpoint re-established
+    from the pruned instance has the first fixpoint's tables, both equal
+    the reference fixpoint's tables on every set of one to three
+    variables, and pruning keeps the solutions.  On some instances a
+    triple cuts a pair that no constraint covers below the product of its
+    domains, so the tables also check that triples project onto pairs."""
+    bad_idem = []
+    bad_reference = []
+    bad_preserve = []
+    cut_by_triples = 0
+    for n, inst in enumerate(_criterion_5_instances()):
         before = brute_force_solutions(inst)
         ref = reference_fixpoint(inst)
         out = establish_3_minimality(inst)
         if out is None:
             if ref is not None:
-                bad_reference.append(cfg.seed)
+                bad_reference.append(n)
             if before:
-                bad_preserve.append(cfg.seed)
+                bad_preserve.append(n)
             continue
         pruned, engine = out
         keys = [k for size in (1, 2, 3)
@@ -206,16 +238,23 @@ def test_criterion_5_minimality_contract():
         tables = {k: engine.table(k) for k in keys}
         again = establish_3_minimality(pruned)
         if again is None or {k: again[1].table(k) for k in keys} != tables:
-            bad_idem.append(cfg.seed)
+            bad_idem.append(n)
         if ref is None or ref[0] != tables:
-            bad_reference.append(cfg.seed)
+            bad_reference.append(n)
         if brute_force_solutions(pruned) != before:
-            bad_preserve.append(cfg.seed)
-    report(5, not bad_idem and not bad_reference and not bad_preserve,
-           f"200 instances: the re-established fixpoint keeps every table, "
-           f"both equal the reference fixpoint, and pruning preserves the "
-           f"solution set (idempotence failures={bad_idem}, reference "
-           f"failures={bad_reference}, preservation failures={bad_preserve})")
+            bad_preserve.append(n)
+        covered = {frozenset(pair) for scope, _rel in inst.constraints
+                   for pair in itertools.combinations(scope, 2)}
+        cut_by_triples += ref is not None and any(
+            len(ref[0][k]) < len(ref[0][k[:1]]) * len(ref[0][k[1:]])
+            for k in keys if len(k) == 2 and frozenset(k) not in covered)
+    report(5, not bad_idem and not bad_reference and not bad_preserve
+           and cut_by_triples >= 10,
+           f"{n + 1} instances: the re-established fixpoint keeps every "
+           f"table, both equal the reference fixpoint, and pruning preserves "
+           f"the solution set (idempotence failures={bad_idem}, reference "
+           f"failures={bad_reference}, preservation failures={bad_preserve}); "
+           f"on {cut_by_triples} a triple cuts a pair no constraint covers")
 
 
 def _retraction_prone_instances():

@@ -13,8 +13,9 @@ from ccsp.classify import (AFFINE, MAJORITY, NONE, SEMILATTICE,
 from ccsp.errors import InvalidArgumentError, SynthesisFailureError
 from ccsp.harness import (GeneratorConfig, Rng, canonical_a3,
                           canonical_algebra, gen_algebra, gen_closed_relation)
-from ccsp.indicator import Network, search_operation, table_from_assignment
-from ccsp.model import Algebra, close_under_ops, preservation_witness, relation
+from ccsp.indicator import Network, search_operation
+from ccsp.model import (Algebra, at, close_under_ops, nest,
+                        preservation_witness, relation)
 
 
 def lang2(*tuple_sets):
@@ -56,18 +57,16 @@ def test_classify_pair_rejects_bad_pair():
 # -- independent cross-check by full table enumeration ----------------------
 
 def enumerate_conservative_tables(size, arity):
-    """Every conservative table, as a cell assignment; exponential."""
-    cells = list(itertools.product(range(size), repeat=arity))
+    """Every conservative table, as a nested table; exponential."""
+    cells = itertools.product(range(size), repeat=arity)
     for values in itertools.product(*(dict.fromkeys(c) for c in cells)):
-        yield dict(zip(cells, values))
+        yield nest(values, size, arity)
 
 
 def _oracle_label(lang):
     """Expected label of pair {0,1} by enumerating every conservative table."""
-    binary = [table_from_assignment(2, 2, a)
-              for a in enumerate_conservative_tables(2, 2)]
-    ternary = [table_from_assignment(2, 3, a)
-               for a in enumerate_conservative_tables(2, 3)]
+    binary = list(enumerate_conservative_tables(2, 2))
+    ternary = list(enumerate_conservative_tables(2, 3))
     sl = any(preservation_witness(t, lang.relations) is None and
              ((t[0][1] == 1 and t[1][0] == 1) or (t[0][1] == 0 and t[1][0] == 0))
              for t in binary)
@@ -330,9 +329,11 @@ def test_synthesis_composes_any_witness(monkeypatch):
                 witness[(a, b)] = witness[(b, a)] = b
             else:  # the first projection at 0, the second at 1
                 witness[(a, b)], witness[(b, a)] = (a, b)[side], (b, a)[side]
+        table = nest([witness[c] for c in itertools.product(range(4), repeat=2)],
+                     4, 2)
         monkeypatch.setattr(
             classify, "search_operation",
-            lambda net, pinned, w=witness: w if pinned == {(0, 1): 1, (1, 0): 1}
+            lambda net, pinned, w=table: w if pinned == {(0, 1): 1, (1, 0): 1}
             else search(net, pinned))
         if "join" in sides:
             with pytest.raises(SynthesisFailureError, match="majority pair"):
@@ -476,12 +477,12 @@ def _first_tables(size, arity, rels, pinned):
     order = _static_order(size, arity, rels)
 
     def rank(cells):  # each cell's value by its position among the entries
-        return lambda t: tuple(list(dict.fromkeys(c)).index(t[c]) for c in cells)
+        return lambda t: tuple(list(dict.fromkeys(c)).index(at(t, c))
+                               for c in cells)
 
     found = [t for t in enumerate_conservative_tables(size, arity)
-             if all(t[c] == v for c, v in pinned.items())
-             and preservation_witness(
-                 table_from_assignment(size, arity, t), rels) is None]
+             if all(at(t, c) == v for c, v in pinned.items())
+             and preservation_witness(t, rels) is None]
     return (min(found, key=rank(order), default=None),
             min(found, key=rank(order[::-1]), default=None))
 

@@ -112,24 +112,41 @@ def _is_conservative_polymorphism(table, arity, rel):
     return bool(member[image[0], image[1]].all())
 
 
+def _check_reflexive_graph(n, edges):
+    """Classify the reflexive graph: it must be tractable exactly when it
+    is an interval graph, and a tractable verdict's f, p, g and h must be
+    conservative polymorphisms of its edges.  Returns whether it is an
+    interval graph."""
+    rel = _graph_relation(n, edges, reflexive=True)
+    verdict = classify_language(ConstraintLanguage(n, (rel,)))
+    interval = _is_interval(_neighbours(n, edges))
+    assert verdict.tractable == interval, (n, edges, verdict.kind)
+    if verdict.tractable:
+        alg = verdict.algebra
+        for name, table, arity in (("f", alg.f, 2), ("p", alg.p, 2),
+                                   ("g", alg.g, 3), ("h", alg.h, 3)):
+            assert _is_conservative_polymorphism(
+                table, arity, rel), (n, edges, name)
+    return interval
+
+
 def test_reflexive_graphs_are_tractable_exactly_when_interval():
     rng = random.Random(17)
     verdicts = {True: 0, False: 0}
     for k in range(150):
         n = 4 + k % 3
-        edges = _random_edges(n, rng)
-        rel = _graph_relation(n, edges, reflexive=True)
-        verdict = classify_language(ConstraintLanguage(n, (rel,)))
-        interval = _is_interval(_neighbours(n, edges))
-        assert verdict.tractable == interval, (n, edges, verdict.kind)
-        verdicts[interval] += 1
-        if verdict.tractable:
-            alg = verdict.algebra
-            for name, table, arity in (("f", alg.f, 2), ("p", alg.p, 2),
-                                       ("g", alg.g, 3), ("h", alg.h, 3)):
-                assert _is_conservative_polymorphism(
-                    table, arity, rel), (n, edges, name)
+        verdicts[_check_reflexive_graph(n, _random_edges(n, rng))] += 1
     assert min(verdicts.values()) >= 30, verdicts
+
+
+def test_random_reflexive_graphs_at_seven_and_eight_vertices():
+    """Random graphs, most of them not interval graphs."""
+    rng = random.Random(29)
+    verdicts = {True: 0, False: 0}
+    for k in range(24):
+        n = 7 + k % 2
+        verdicts[_check_reflexive_graph(n, _random_edges(n, rng))] += 1
+    assert min(verdicts.values()) >= 4, verdicts
 
 
 def _random_interval_graph(n, rng):
@@ -149,15 +166,7 @@ def test_reflexive_interval_graphs_at_seven_and_eight_vertices():
     for k in range(16):
         n = 7 + k % 2
         edges = _random_interval_graph(n, rng)
-        assert _is_interval(_neighbours(n, edges)), (n, edges)
-        rel = _graph_relation(n, edges, reflexive=True)
-        verdict = classify_language(ConstraintLanguage(n, (rel,)))
-        assert verdict.tractable, (n, edges, verdict.kind)
-        alg = verdict.algebra
-        for name, table, arity in (("f", alg.f, 2), ("p", alg.p, 2),
-                                   ("g", alg.g, 3), ("h", alg.h, 3)):
-            assert _is_conservative_polymorphism(
-                table, arity, rel), (n, edges, name)
+        assert _check_reflexive_graph(n, edges), (n, edges)
 
 
 def test_irreflexive_graphs_with_an_odd_cycle_are_np_complete():

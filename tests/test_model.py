@@ -11,10 +11,9 @@ from ccsp.classify import (AFFINE, MAJORITY, EdgeLabeledGraph, PairLabel,
                            canonical_algebra)
 from ccsp.errors import InvalidArgumentError
 from ccsp.harness import canonical_a3
-from ccsp.indicator import table_from_assignment
 from ccsp.model import (Algebra, Instance, algebra_violations,
-                        apply_componentwise, close_under_ops,
-                        is_closed_under_ops, project, relation,
+                        apply_componentwise, at, close_under_ops,
+                        is_closed_under_ops, nest, project, relation,
                         restrict_instance, restrict_relation, summ,
                         table_arity, validate_instance, verify_assignment)
 
@@ -128,9 +127,9 @@ def _random_conservative_algebra(size, rng):
     first = rng.random()
 
     def table(arity):
-        return table_from_assignment(size, arity, {
-            args: args[0] if rng.random() < first else rng.choice(args)
-            for args in itertools.product(range(size), repeat=arity)})
+        return nest([args[0] if rng.random() < first else rng.choice(args)
+                     for args in itertools.product(range(size), repeat=arity)],
+                    size, arity)
     return Algebra(size, table(2), table(2), table(3), table(3))
 
 
@@ -337,6 +336,44 @@ def test_algebra_violations_flag_nonconservative(a3):
     from ccsp.model import Algebra
     bad = Algebra(3, tuple(tuple(r) for r in f), alg.p, alg.g, alg.h)
     assert any("not conservative" in v for v in algebra_violations(bad))
+
+
+def _changed(table, size, changes):
+    """The table with the values of `changes` at its cells."""
+    arity = table_arity(table)
+    return nest([changes.get(c, at(table, c))
+                 for c in itertools.product(range(size), repeat=arity)],
+                size, arity)
+
+
+def test_algebra_violations_report_a_non_idempotent_ternary_cell(a3):
+    alg, _ = a3
+    g = _changed(alg.g, 3, {(1, 1, 1): 2})
+    bad = Algebra(3, alg.f, alg.p, g, alg.h)
+    assert algebra_violations(bad) == ["g(1, 1, 1)=2 is not idempotent"]
+
+
+def test_algebra_violations_report_each_non_conservative_cell_once(a3):
+    """p and h leave their arguments at three cells, one of them constant;
+    each is reported once, in cell order, and nothing else is."""
+    alg, _ = a3
+    p = _changed(alg.p, 3, {(0, 1): 2, (1, 0): 2, (2, 2): 0})
+    h = _changed(alg.h, 3, {(1, 2, 1): 0})
+    assert algebra_violations(Algebra(3, alg.f, p, alg.g, h)) == [
+        "p(0, 1)=2 is not conservative", "p(1, 0)=2 is not conservative",
+        "p(2, 2)=0 is not idempotent", "h(1, 2, 1)=0 is not conservative"]
+
+
+def test_nest_lays_out_cells_in_product_order_and_at_reads_them():
+    assert nest([0, 1, 1, 0], 2, 2) == ((0, 1), (1, 0))
+    assert nest([4], 1, 3) == (((4,),),)
+    for size in range(1, 5):
+        for arity in range(1, 4):
+            cells = list(itertools.product(range(size), repeat=arity))
+            values = list(range(len(cells)))[::-1]
+            table = nest(values, size, arity)
+            assert table_arity(table) == arity and len(table) == size
+            assert [at(table, c) for c in cells] == values
 
 
 def _tiny_instance(alg):
