@@ -54,6 +54,20 @@ revision, and queueing a revision too many is safe.  Tables are replaced,
 never mutated, so a trail of replaced values can undo a branch (`mark` /
 `undo`).
 
+Before any revision, a fresh engine cuts its domains and its constraints'
+tuples to generalized arc consistency, reading only the domains: each
+constraint keeps its tuples inside the domains and cuts each domain to
+their projection, until nothing moves; a constraint left with no tuple
+fails the engine.  Every constraint stays fresh and queued.  The fixpoint
+is the same: at it the tuples of each constraint lie in the domains and
+each domain is their projection (the tables on a constraint's scope are
+its projections, above), so it lies below every state the phase reaches,
+and the filters are monotone, so from there the revisions reach it
+again.  Fewer tables get materialized: a constraint's first revision
+projects onto domains that the other constraints have already cut, so a
+pair whose projection is the product of the arc-consistent domains stays
+a default pair, and no candidate triple is queued for it.
+
 The engine at its fixpoint is the one carrier of a node's tables:
 `establish_3_minimality` returns it beside the pruned instance, and the
 base solvers assign on it.
@@ -113,6 +127,38 @@ class Propagator:
         self._queue(self.rels)
         self.failed = False
         self.trail: Optional[list] = None
+        self._arc_consistency()
+
+    def _arc_consistency(self):
+        """Cut the domains and the constraints' tuples to generalized arc
+        consistency, reading only the domains: a constraint keeps its
+        tuples inside the domains and cuts each domain to its projection,
+        which queues the other constraints on that variable.  Fails the
+        engine when a constraint has no tuple left."""
+        doms, rels = self.doms, self.rels
+        todo, waiting = deque(rels), set(rels)
+        while todo:
+            i = todo.popleft()
+            waiting.discard(i)
+            unary = [(key[0], get) for key, get in self.subs[i]
+                     if len(key) == 1]
+            kept = rels[i]
+            for v, get in unary:
+                dom = doms[v]
+                kept = [t for t in kept if get(t) in dom]
+            if not kept:
+                self.failed = True
+                return
+            if len(kept) < len(rels[i]):
+                rels[i] = frozenset(kept)
+            for v, get in unary:
+                proj = set(map(get, kept))
+                if len(proj) < len(doms[v]):
+                    doms[v] = frozenset(proj)
+                    for j in self.readers[(v,)]:
+                        if j != i and j not in waiting:
+                            waiting.add(j)
+                            todo.append(j)
 
     def sort_vars(self, ws: Iterable) -> VarSet:
         return tuple(sorted(set(ws), key=self._order.__getitem__))

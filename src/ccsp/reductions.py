@@ -34,9 +34,7 @@ ConsistentCollection = dict  # variable -> frozenset (an as-component)
 
 
 def _constraint_ok(scope: tuple, tuples, chosen: dict) -> bool:
-    positions = [i for i, v in enumerate(scope) if v in chosen]
-    return any(all(t[i] in chosen[scope[i]] for i in positions)
-               for t in tuples)
+    return any(all(a in chosen[v] for a, v in zip(t, scope)) for t in tuples)
 
 
 def find_consistent_collection(inst: Instance, graph: EdgeLabeledGraph,
@@ -45,20 +43,25 @@ def find_consistent_collection(inst: Instance, graph: EdgeLabeledGraph,
     choice must meet the constraints and the pair and triple tables of the
     instance's 3-minimality `engine`.
 
-    Each constraint is checked again whenever one of its variables is
-    chosen, the last time with all of them chosen, so every constraint
-    keeps a tuple inside the chosen components; split_by_strands relies on
-    this to solve a strand of singleton components without recursion.
+    Each constraint and table is checked once, when the last of its
+    variables is chosen, so every constraint keeps a tuple inside the
+    chosen components; split_by_strands relies on this to solve a strand
+    of singleton components without recursion.  A check with only some of
+    a table's variables chosen would add nothing on scopes of at most three
+    variables: at the fixpoint a table projects onto its sub-tables, so
+    such a check is the full check of a smaller table, made when that
+    table's last variable was chosen, or holds for any components, as a
+    domain or a default pair (a product of domains) does.
 
     On a 3-minimal instance some extension always exists; failure to extend
     therefore signals an upstream bug and raises loudly.
     """
+    order = {v: i for i, v in enumerate(inst.variables)}
     by_var: dict = {v: [] for v in inst.variables}
     tables = [(scope, rel.tuples) for scope, rel in inst.constraints]
     tables += engine.nontrivial_items()
     for scope, tuples in tables:
-        for v in set(scope):
-            by_var[v].append((scope, tuples))
+        by_var[max(scope, key=order.__getitem__)].append((scope, tuples))
 
     comps = {d: as_components(d, graph) for d in set(inst.domains.values())}
     coll: ConsistentCollection = {}

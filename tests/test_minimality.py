@@ -77,6 +77,21 @@ def test_repeated_variable_scope():
     assert pruned.domains["x"] == {1}
 
 
+EMPTY2 = relation([], signature=[{0, 1}, {0, 1}])
+
+
+@pytest.mark.parametrize("constraints", [
+    [(("x", "y"), EMPTY2)] * 3,
+    [(("x", "y"), EQ), (("y", "z"), EMPTY2), (("x", "z"), NEQ)],
+    # x's cut to {0} empties the second relation
+    [(("x",), relation([(0,)])), (("x", "y"), relation([(1, 0), (1, 1)]))],
+    [(("x", "x"), NEQ), (("y", "z"), EQ)],
+], ids=["three-empty", "one-empty", "emptied-by-a-cut", "repeated-variable"])
+def test_arc_consistency_fails_on_an_empty_constraint(constraints):
+    inst = Instance(["x", "y", "z"], {v: {0, 1} for v in "xyz"}, constraints)
+    assert establish_3_minimality(inst) is None
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_solution_preservation_random(seed):
     cfg = GeneratorConfig(seed=seed, domain_size=2 + seed % 3,
@@ -115,15 +130,16 @@ def test_assign_and_repropagate():
 
 # -- differential checks of the worklist engine --------------------------------
 
-def mixed_instances(count=100):
-    """Harness instances over semilattice-free (majority/affine) algebras."""
+def mixed_instances(count=100, make=gen_instance):
+    """Harness instances, from `make`, over semilattice-free
+    (majority/affine) algebras."""
     for seed in range(count):
         cfg = GeneratorConfig(seed=seed, domain_size=3 + seed % 2,
                               variable_count=10 + seed % 3,
                               constraint_count=4 + seed % 5, max_arity=3,
                               label_weights=(0, 1, 1))
         alg, graph = gen_algebra(cfg)
-        yield seed, gen_instance(alg, graph, cfg)
+        yield seed, make(alg, graph, cfg)
 
 
 def assert_same_fixpoint(seed, engine, pruned, ref_tables, ref_tuples):
@@ -226,6 +242,23 @@ def triangle_instances(draw):
         constraints.append((tuple(scope), relation(
             tuples, signature=[domains[v] for v in scope])))
     return Instance(variables, domains, constraints)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(small_instances(), triangle_instances()))
+def test_fresh_engine_is_arc_consistent(inst):
+    """Before the first revision every kept tuple lies in the domains and
+    every domain value has a support in every constraint on its variable."""
+    engine = Propagator(inst)
+    if engine.failed:
+        assert reference_fixpoint(inst) is None
+        return
+    for i, (scope, _rel) in enumerate(inst.constraints):
+        tuples = engine.rels[i]
+        assert all(t[j] in engine.doms[v] for t in tuples
+                   for j, v in enumerate(scope)), i
+        for j, v in enumerate(scope):
+            assert {t[j] for t in tuples} == engine.doms[v], (i, v)
 
 
 def assert_matches_reference(engine, inst):
@@ -360,7 +393,8 @@ def test_run_at_fixpoint_revises_nothing(monkeypatch):
                             lambda self, r, method=method: (
                                 calls.append(r), method(self, r)))
     checked, kinds = 0, set()
-    for seed, inst in mixed_instances(40):
+    # planted ones: some still revise a triple after arc consistency
+    for seed, inst in mixed_instances(40, gen_planted_instance):
         out = establish_3_minimality(inst)
         if out is None:
             continue
@@ -379,7 +413,7 @@ def test_triple_revision_reads_a_pending_domain_cut():
     yet reached the two materialized pairs on it: they still hold the
     values cut, so only the domain check removes them."""
     checked = 0
-    for seed in range(12):
+    for seed in range(80):
         cfg = GeneratorConfig(seed=seed, domain_size=3 + seed % 2,
                               variable_count=6, constraint_count=10,
                               max_arity=3, label_weights=(1, 1, 1))

@@ -37,11 +37,11 @@ def patched_targets(tracing):
 def test_tracer_wraps_every_target_and_restores_it():
     tracing = load_tracing()
     originals = patched_targets(tracing)
-    cfg = GeneratorConfig(seed=0, domain_size=3, variable_count=6,
+    cfg = GeneratorConfig(seed=1, domain_size=3, variable_count=6,
                           constraint_count=6, max_arity=3,
                           label_weights=(0, 1, 0))
     alg, graph = gen_algebra(cfg)
-    inst = gen_planted_instance(alg, graph, cfg)
+    inst = gen_planted_instance(alg, graph, cfg)  # materializes pairs
     lang = ConstraintLanguage(2, (relation([(0, 0), (0, 1), (1, 1)]),))
     with tracing.installed(tracing.Tracer()) as tracer:
         wrapped = patched_targets(tracing)
